@@ -186,19 +186,32 @@ class Parser {
   Json parse_unary() {
     if (is_keyword(lexer_.peek(), "NOT")) {
       lexer_.take();
+      descend();
       Json q = Json::object();
       q["$not"] = parse_unary();
+      --depth_;
       return q;
     }
     if (lexer_.peek().kind == TokenKind::LParen) {
       lexer_.take();
+      descend();
       Json inner = parse_or();
+      --depth_;
       if (lexer_.peek().kind != TokenKind::RParen)
         lexer_.fail("expected ')'");
       lexer_.take();
       return inner;
     }
     return parse_comparison();
+  }
+
+  /// Enters one NOT or parenthesized level; past the same nesting limit as
+  /// the JSON parser the clause is rejected instead of exhausting the stack.
+  void descend() {
+    if (depth_ == json::Json::kMaxDepth)
+      lexer_.fail("nesting deeper than " +
+                  std::to_string(json::Json::kMaxDepth) + " levels");
+    ++depth_;
   }
 
   Json parse_value_token() {
@@ -292,6 +305,7 @@ class Parser {
   }
 
   Lexer lexer_;
+  std::size_t depth_ = 0;  // open NOTs and parentheses around the cursor
 };
 
 }  // namespace

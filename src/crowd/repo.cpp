@@ -45,6 +45,10 @@ Accessibility Accessibility::from_json(const Json& j) {
 
 SharedRepo::SharedRepo(std::uint64_t seed)
     : key_rng_(rng::splitmix64(seed ^ 0x243f6a8885a308d3ULL)) {
+  add_default_aliases();
+}
+
+void SharedRepo::add_default_aliases() {
   // Seed the alias databases with the machines/software the paper's
   // experiments use; deployments add their own via add_*_alias.
   add_machine_alias("Cori", {"cori", "cori-nersc", "CoriHaswell"});
@@ -79,31 +83,22 @@ std::string SharedRepo::generate_api_key() { return random_token(20, 0); }
 
 namespace {
 
-/// Salted SipHash-2-4 of an API key, stored as 16 hex digits (the current
-/// hash_version 2 format).
-std::string hash_api_key_v2(const std::string& salt,
+/// Salted SipHash-2-4 of an API key, stored as 16 hex digits.
+std::string hash_api_key(const std::string& salt,
                             const std::string& api_key) {
   return db::engine::hex64(db::engine::siphash24(
       db::engine::siphash_key_from_salt(salt), api_key));
 }
 
-/// Verifies an API key against one stored key document, honouring the
-/// stored hash_version: 2 = salted SipHash-2-4; absent/1 = the legacy fast
-/// FNV hash, kept so repository directories written by older builds still
-/// authenticate.
 /// Process-wide count of stored-key hash verifications; the server tests
 /// assert one per request (the AuthedUser proof token elides re-hashing).
 std::atomic<std::uint64_t> g_auth_hash_invocations{0};
 
+/// Verifies an API key against one stored key document's salted hash.
 bool key_doc_matches(const Json& doc, const std::string& api_key) {
   g_auth_hash_invocations.fetch_add(1, std::memory_order_relaxed);
-  const std::int64_t version = doc.get_or("hash_version", Json(1)).as_int();
-  if (version == 2)
-    return doc.get_or("key_hash", Json("")).as_string() ==
-           hash_api_key_v2(doc.get_or("key_salt", Json("")).as_string(),
-                           api_key);
   return doc.get_or("key_hash", Json("")).as_string() ==
-         std::to_string(rng::hash_tag(api_key));
+         hash_api_key(doc.get_or("key_salt", Json("")).as_string(), api_key);
 }
 
 }  // namespace
@@ -133,12 +128,9 @@ std::string SharedRepo::issue_api_key(const std::string& username) {
   Json doc = Json::object();
   doc["username"] = username;
   // Only the salted hash is stored; the plaintext key exists solely in the
-  // return value, mirroring the website's show-once behaviour. The format
-  // is versioned so directories written with the legacy FNV hash
-  // (hash_version absent) keep authenticating — see key_doc_matches.
-  doc["hash_version"] = 2;
+  // return value, mirroring the website's show-once behaviour.
   doc["key_salt"] = salt;
-  doc["key_hash"] = hash_api_key_v2(salt, key);
+  doc["key_hash"] = hash_api_key(salt, key);
   doc["revoked"] = false;
   store_.collection("api_keys").insert(std::move(doc));
   return key;
@@ -742,22 +734,17 @@ std::vector<core::TaskHistory> SharedRepo::query_source_histories(
   return out;
 }
 
-void SharedRepo::save(const std::filesystem::path& dir) const {
-  store_.save(dir);
-}
-
-SharedRepo SharedRepo::load(const std::filesystem::path& dir,
-                            std::uint64_t seed) {
-  SharedRepo repo(seed);
-  repo.store_ = db::DocumentStore::load(dir);
-  return repo;
-}
-
 SharedRepo SharedRepo::open_durable(const std::filesystem::path& dir,
                                     std::uint64_t seed,
                                     db::engine::EngineOptions options) {
   SharedRepo repo(seed);
   repo.store_ = db::DocumentStore::open_durable(dir, std::move(options));
+  // The opened store replaces the constructor's: a directory that has no
+  // alias tables yet gets the same default seed an in-memory repo starts
+  // with, so uploads normalize tags identically in both.
+  if (repo.store_.find_collection("machines") == nullptr &&
+      repo.store_.find_collection("software") == nullptr)
+    repo.add_default_aliases();
   repo.declare_default_indexes();
   return repo;
 }

@@ -7,13 +7,12 @@
 // QueryPredictOutput, QuerySensitivityAnalysis).
 //
 // The backing store is the JSON document store in src/db — the single-node
-// equivalent of the paper's MongoDB deployment. open_durable() opens it on
-// the src/db/engine storage engine (write-ahead log + atomic snapshots +
-// crash recovery) and declares the secondary indexes the crowd queries
-// route through; load()/save() remain the legacy diffable-JSON mode. API
-// keys are random 20-character strings; only a salted SipHash-2-4 hash is
-// stored (hash_version 2 — stores written by older builds with the fast
-// FNV stand-in still authenticate via the versioned fallback).
+// equivalent of the paper's MongoDB deployment. A constructed repo lives in
+// memory; open_durable() is the one way a repo is read from or written to
+// a directory: the src/db/engine storage engine (write-ahead log + atomic
+// snapshots + crash recovery), with the secondary indexes the crowd
+// queries route through declared on open. API keys are random
+// 20-character strings; only a salted SipHash-2-4 hash is stored.
 #pragma once
 
 #include <filesystem>
@@ -235,13 +234,9 @@ class SharedRepo {
 
   // --- Persistence -----------------------------------------------------------
 
-  void save(const std::filesystem::path& dir) const;
-  static SharedRepo load(const std::filesystem::path& dir,
-                         std::uint64_t seed = 0x6a09e667f3bcc908ULL);
-
   /// Opens `dir` on the storage engine (WAL + snapshots + crash recovery;
   /// see src/db/engine/engine.hpp) and declares the default secondary
-  /// indexes. A directory written by save() is migrated on first open.
+  /// indexes.
   static SharedRepo open_durable(const std::filesystem::path& dir,
                                  std::uint64_t seed = 0x6a09e667f3bcc908ULL,
                                  db::engine::EngineOptions options = {});
@@ -261,13 +256,15 @@ class SharedRepo {
   void declare_task_parameter_index(const std::string& parameter_name);
 
   /// Durable mode: fsync pending WAL batches / force snapshot + compaction.
-  /// No-ops on a legacy in-memory repo.
+  /// No-ops on an in-memory repo.
   void sync() { store_.sync(); }
   void checkpoint() { store_.checkpoint_all(); }
 
   const db::DocumentStore& store() const { return store_; }
 
  private:
+  /// The paper's machine/software aliases every new repo starts with.
+  void add_default_aliases();
   std::string random_token(std::size_t length, std::uint64_t stream_tag);
   std::string generate_api_key();
   json::Json build_record(const std::string& user,
@@ -306,8 +303,7 @@ class SharedRepo {
   /// detected and inserted atomically; this serializes the detect-and-
   /// insert window so two racing first uploads cannot both write the
   /// descriptor. Ordinary uploads (descriptors already present) skip it.
-  /// Heap-held so SharedRepo stays movable (load/open_durable return by
-  /// value).
+  /// Heap-held so SharedRepo stays movable (open_durable returns by value).
   std::unique_ptr<std::mutex> catalog_mu_ = std::make_unique<std::mutex>();
   // guard-ok: DocumentStore/Collection synchronize internally (shard locks)
   db::DocumentStore store_;

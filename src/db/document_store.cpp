@@ -1,9 +1,7 @@
 #include "db/document_store.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <stdexcept>
 
 #include "db/query/planner.hpp"
@@ -745,22 +743,6 @@ void Collection::configure_shards(std::size_t shards) {
   for (auto& sp : shards_) rebuild_shard_derived(*sp);
 }
 
-void Collection::restore(const Json& j) {
-  std::int64_t next = j.at("next_id").as_int();
-  for (auto& sp : shards_) {
-    sp->docs.clear();
-    sp->id_pos.clear();
-    sp->indexes.clear();
-  }
-  for (const auto& d : j.at("docs").as_array()) {
-    const std::int64_t id = d.at("_id").as_int();
-    next = std::max(next, id + 1);
-    shards_[shard_of(id)]->docs.push_back(d);
-  }
-  next_id_.store(next);
-  for (auto& sp : shards_) rebuild_shard_derived(*sp);
-}
-
 void Collection::restore_shard(std::size_t shard, const Json& j) {
   fold_next_id(next_id_, j.at("next_id").as_int());
   Shard& s = *shards_[shard];
@@ -819,14 +801,21 @@ Json Collection::to_json() const {
   return j;
 }
 
-Collection Collection::from_json(const Json& j) {
-  Collection c(j.at("name").as_string());
-  c.restore(j);
-  return c;
-}
-
 // ---------------------------------------------------------------------------
 // DocumentStore
+
+DocumentStore::DocumentStore(DocumentStore&& other) noexcept
+    : collections_(std::move(other.collections_)),
+      engine_(std::move(other.engine_)) {
+  if (engine_) engine_->rebind(*this);
+}
+
+DocumentStore& DocumentStore::operator=(DocumentStore&& other) noexcept {
+  collections_ = std::move(other.collections_);
+  engine_ = std::move(other.engine_);
+  if (engine_) engine_->rebind(*this);
+  return *this;
+}
 
 Collection& DocumentStore::collection(const std::string& name) {
   auto it = collections_.find(name);
@@ -936,32 +925,6 @@ DocumentStore::AtomicInsert DocumentStore::insert_atomic(
   for (const auto& m : members) engine_->maybe_checkpoint(*m.c, m.shard);
   engine_->maybe_compact_commits();
   return out;
-}
-
-void DocumentStore::export_json(const std::filesystem::path& dir) const {
-  std::filesystem::create_directories(dir);
-  for (const auto& [name, c] : collections_) {
-    std::ofstream out(dir / (name + ".json"));
-    if (!out)
-      throw std::runtime_error("DocumentStore::export_json: cannot write " +
-                               (dir / (name + ".json")).string());
-    out << c.to_json().dump(2) << "\n";
-  }
-}
-
-DocumentStore DocumentStore::load(const std::filesystem::path& dir) {
-  DocumentStore store;
-  if (!std::filesystem::exists(dir)) return store;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() != ".json") continue;
-    std::ifstream in(entry.path());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    Collection c = Collection::from_json(Json::parse(buf.str()));
-    const std::string name = c.name();
-    store.collections_.emplace(name, std::move(c));
-  }
-  return store;
 }
 
 DocumentStore DocumentStore::open_durable(const std::filesystem::path& dir,

@@ -28,8 +28,10 @@ namespace {
 
 constexpr const char* kManifestName = "engine.manifest";
 constexpr const char* kCommitPrefix = "engine.commit.s";
+constexpr const char* kNamingRule =
+    "an engine directory holds only <coll>.s<k>of<N>.{wal,snapshot}";
 
-/// Splits a file stem of the form "<base>.s<k>of<n>" (n > 1). Returns
+/// Splits a file stem of the form "<base>.s<k>of<n>" (n >= 1). Returns
 /// false when the stem carries no shard suffix.
 bool parse_shard_stem(const std::string& stem, std::string* base,
                       std::size_t* shard, std::size_t* of) {
@@ -49,7 +51,7 @@ bool parse_shard_stem(const std::string& stem, std::string* base,
   *base = stem.substr(0, dot);
   *shard = static_cast<std::size_t>(std::stoul(k_str));
   *of = static_cast<std::size_t>(std::stoul(n_str));
-  return *of > 1;
+  return *of >= 1;
 }
 
 /// Shard count embedded in an "engine.commit.s<n>" stem, or 0.
@@ -145,7 +147,6 @@ std::size_t StorageEngine::inline_group_commit() const {
 
 std::string StorageEngine::shard_stem(const std::string& collection,
                                       std::size_t shard, std::size_t of) {
-  if (of <= 1) return collection;
   return collection + ".s" + std::to_string(shard) + "of" +
          std::to_string(of);
 }
@@ -160,37 +161,19 @@ void StorageEngine::recover(DocumentStore& store) {
 
   // --- classify the directory against the manifest -------------------------
   const std::optional<std::size_t> manifest = read_manifest(dir_ / kManifestName);
+  std::size_t disk_n = manifest.value_or(1);
 
   std::set<std::string> collections;  // names with current-layout artifacts
-  std::set<std::string> legacy_json;  // migration sources, never deleted here
   std::vector<std::filesystem::path> debris;  // stale tmps + wrong-count files
-  std::vector<std::filesystem::path> sharded;  // deferred until disk_n known
-  bool have_plain = false;   // unsuffixed .wal/.snapshot present
   bool have_commit = false;  // commit WAL matching the manifest count
 
+  // Sorted, so which offending file a refusal names does not depend on the
+  // directory's iteration order. Nothing is deleted until every entry has
+  // been classified: a refused directory is left exactly as it was.
   std::vector<std::filesystem::path> entries;
   for (const auto& entry : std::filesystem::directory_iterator(dir_))
     entries.push_back(entry.path());
-
-  // First pass just to establish the disk shard count.
-  std::size_t max_suffix_count = 0;
-  for (const auto& p : entries) {
-    const std::string ext = p.extension().string();
-    if (ext != ".wal" && ext != ".snapshot") continue;
-    const std::string stem = p.stem().string();
-    std::string base;
-    std::size_t k = 0, of = 0;
-    if (parse_commit_stem(stem) > 0 || parse_shard_stem(stem, &base, &k, &of))
-      max_suffix_count = std::max(max_suffix_count, std::size_t(2));
-  }
-  if (!manifest && max_suffix_count > 0)
-    refuse(dir_, "sharded engine files present but " +
-                     std::string(kManifestName) +
-                     " is missing; not guessing a layout");
-
-  std::size_t disk_n = manifest.value_or(1);
-  bool fresh = true;  // no engine artifacts at all (manifest counts)
-  if (manifest) fresh = false;
+  std::sort(entries.begin(), entries.end());
 
   for (const auto& p : entries) {
     const std::string ext = p.extension().string();
@@ -202,42 +185,35 @@ void StorageEngine::recover(DocumentStore& store) {
         debris.push_back(p);
       continue;
     }
-    if (ext == ".json") {
-      legacy_json.insert(stem);
-      continue;
-    }
+    if (ext == ".json")
+      refuse(p, std::string("a JSON collection file; ") + kNamingRule);
     if (ext != ".wal" && ext != ".snapshot") continue;
-    fresh = false;
     const std::size_t commit_n = parse_commit_stem(stem);
+    std::string base;
+    std::size_t k = 0, of = 0;
+    if (commit_n == 0 && !parse_shard_stem(stem, &base, &k, &of))
+      refuse(p, std::string("no shard suffix; ") + kNamingRule);
+    if (!manifest)
+      refuse(dir_, "engine files present but " + std::string(kManifestName) +
+                       " is missing; not guessing a layout");
     if (commit_n > 0) {
       if (ext == ".wal" && commit_n == disk_n)
         have_commit = true;
       else
         debris.push_back(p);
-      continue;
+    } else if (of == disk_n && k < of) {
+      collections.insert(base);
+    } else {
+      debris.push_back(p);  // crashed-migration leftovers, never flipped in
     }
-    std::string base;
-    std::size_t k = 0, of = 0;
-    if (parse_shard_stem(stem, &base, &k, &of)) {
-      if (of == disk_n && k < of)
-        collections.insert(base);
-      else
-        debris.push_back(p);  // crashed-migration leftovers, never flipped in
-      continue;
-    }
-    have_plain = true;
-    if (disk_n == 1)
-      collections.insert(stem);
-    else
-      debris.push_back(p);  // pre-migration layout after the flip
   }
-  (void)have_plain;
   for (const auto& p : debris) std::filesystem::remove(p);
   if (!debris.empty()) sync_parent_dir(dir_ / kManifestName);
 
-  const std::size_t target = opts_.shards == 0 ? (fresh ? 1 : disk_n)
-                                               : opts_.shards;
-  if (fresh) disk_n = target;  // nothing to migrate from
+  // No manifest means no engine file either (checked above): a fresh
+  // directory is laid out at the requested count, with nothing to migrate.
+  const std::size_t target = opts_.shards == 0 ? disk_n : opts_.shards;
+  if (!manifest) disk_n = target;
   shard_count_ = disk_n;
 
   // --- replay the logical commit WAL --------------------------------------
@@ -272,7 +248,6 @@ void StorageEngine::recover(DocumentStore& store) {
       }
     }
   }
-  for (const auto& name : legacy_json) collections.insert(name);
 
   // --- per-shard parallel recovery -----------------------------------------
   struct ShardTask {
@@ -285,29 +260,8 @@ void StorageEngine::recover(DocumentStore& store) {
     std::string warning;
   };
   std::vector<ShardTask> tasks;
-  std::map<std::string, bool> from_legacy;
   for (const std::string& name : collections) {
     Collection& c = store.collection(name);
-    bool any_snapshot = false;
-    for (std::size_t k = 0; k < disk_n; ++k)
-      if (std::filesystem::exists(dir_ /
-                                  (shard_stem(name, k, disk_n) + ".snapshot")))
-        any_snapshot = true;
-    if (!any_snapshot && legacy_json.count(name)) {
-      // One-time migration from the diffable JSON export: it becomes the
-      // base state, absorbed into snapshots below so later exports can
-      // never be mistaken for a base again.
-      std::ifstream in(dir_ / (name + ".json"));
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      const Json j = Json::parse(buf.str());
-      if (j.at("name").as_string() != name)
-        throw std::runtime_error("engine: collection file " + name +
-                                 ".json names collection '" +
-                                 j.at("name").as_string() + "'");
-      c.restore(j);
-      from_legacy[name] = true;
-    }
     for (std::size_t k = 0; k < disk_n; ++k) {
       ShardTask t;
       t.c = &c;
@@ -432,22 +386,6 @@ void StorageEngine::recover(DocumentStore& store) {
         committer_->mark_durable(commit_wal_stem(), next - 1);
       }
     }
-  }
-
-  // --- retire consumed legacy exports --------------------------------------
-  for (const auto& [name, was_legacy] : from_legacy) {
-    if (!was_legacy) continue;
-    if (target == disk_n) {
-      // Absorb the export into snapshots now; after a migration the new
-      // layout's snapshots already cover it.
-      Collection& c = store.collection(name);
-      for (std::size_t k = 0; k < shard_count_; ++k) checkpoint_shard(c, k);
-    }
-    // Retire the source so a later recovery whose snapshot goes missing
-    // can never silently fall back to this stale state.
-    std::filesystem::rename(dir_ / (name + ".json"),
-                            dir_ / (name + ".json.migrated"));
-    sync_parent_dir(dir_ / (name + ".json"));
   }
 
   store_ = &store;

@@ -15,19 +15,20 @@
 // On-disk layout (N = shard count):
 //
 //   engine.manifest               {"format":1,"shards":N} — atomic flip
-//   <coll>.wal / <coll>.snapshot              when N == 1 (legacy layout)
-//   <coll>.s<k>of<N>.wal / ...snapshot        when N  > 1, k in [0, N)
+//   <coll>.s<k>of<N>.wal / ...snapshot        k in [0, N), any N >= 1
 //   engine.commit.s<N>.wal        logical cross-shard commit records
 //
-// N == 1 keeps the exact pre-sharding file names, so directories written
-// by older builds open unchanged. Opening with a different
+// One naming rule holds at every N, and the engine reads nothing else: a
+// `<coll>.json` file or an unsuffixed `<coll>.wal`/`.snapshot` in the
+// directory makes open refuse (naming the file, deleting nothing) rather
+// than guess what it holds. Opening with a different
 // EngineOptions::shards than the directory holds migrates it: the store is
 // recovered at the old count, repartitioned in memory, written out as
 // full-coverage snapshots under the new names, and committed by atomically
 // rewriting engine.manifest — the single flip point. Files whose embedded
 // shard count disagrees with the manifest are debris from a crashed
 // migration (the flip never happened, or cleanup never finished) and are
-// deleted on open; a missing manifest next to sharded files is refused.
+// deleted on open; a missing manifest next to engine files is refused.
 //
 // Shard WAL operation payloads (compact JSONL, see wal.hpp for framing):
 //
@@ -129,9 +130,8 @@ class StorageEngine {
   /// manifest; stable after recover()).
   std::size_t shard_count() const { return shard_count_; }
 
-  /// WAL/snapshot file stem for one shard: "<coll>" when `of` is 1
-  /// (legacy-compatible), else "<coll>.s<k>of<of>". Doubles as the
-  /// GroupCommitter key and the argument to wal_bytes()/wait_durable().
+  /// WAL/snapshot file stem for one shard: "<coll>.s<k>of<of>". Doubles as
+  /// the GroupCommitter key and the argument to wal_bytes()/wait_durable().
   static std::string shard_stem(const std::string& collection,
                                 std::size_t shard, std::size_t of);
 
@@ -139,17 +139,21 @@ class StorageEngine {
   std::string commit_wal_stem() const;
 
   /// Rebuilds every collection found in the directory (snapshots, shard
-  /// WALs, commit-WAL members, or a legacy `<name>.json` export used as a
-  /// one-time migration source) into `store`, attaching the engine to
-  /// each; shards recover in parallel. Called once by
-  /// DocumentStore::open_durable before the store is visible to anyone.
-  /// Performs the shard-count migration when EngineOptions::shards
-  /// disagrees with the directory. Throws std::runtime_error when an
-  /// artifact is rejected rather than merely torn: a snapshot that exists
-  /// but fails its checksum/parse, a WAL with mid-log corruption / a wrong
-  /// checksum key, or sharded files without a manifest — refusing to open
-  /// beats silently discarding committed records.
+  /// WALs, commit-WAL members) into `store`, attaching the engine to each;
+  /// shards recover in parallel. Called once by DocumentStore::open_durable
+  /// before the store is visible to anyone. Performs the shard-count
+  /// migration when EngineOptions::shards disagrees with the directory.
+  /// Throws std::runtime_error when an artifact is rejected rather than
+  /// merely torn: a snapshot that exists but fails its checksum/parse, a
+  /// WAL with mid-log corruption / a wrong checksum key, engine files
+  /// without a manifest, or a file outside the naming rule (`<coll>.json`,
+  /// unsuffixed `<coll>.wal`/`.snapshot`) — refusing to open beats silently
+  /// discarding or shadowing committed records.
   void recover(DocumentStore& store);
+
+  /// Re-points the engine at its owning store after that store moved
+  /// (open_durable returns it by value). Not safe against concurrent use.
+  void rebind(DocumentStore& store) { store_ = &store; }
 
   /// Non-fatal recovery notes from the last recover() call — one entry per
   /// shard whose WAL ended in a torn final record (truncated back to the
@@ -260,7 +264,7 @@ class StorageEngine {
   std::vector<std::string> recovery_warnings_;
   // guard-ok: toggled only during single-threaded recovery replay
   bool replaying_ = false;
-  // guard-ok: set once by recover() before any concurrent use
+  // guard-ok: set by recover() and rebind(), before any concurrent use
   DocumentStore* store_ = nullptr;  // owner of this engine
   std::shared_mutex commit_gate_;
   /// Serializes whole checkpoints. Without it, two threads interleaving

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,7 +42,11 @@ std::optional<Snapshot> read_snapshot(const std::filesystem::path& path) {
   const std::string_view payload(text.data() + 9, text.size() - 9);
   if (hex32(crc32(payload)) != checksum) corrupt(path, "checksum mismatch");
   try {
-    const Json j = Json::parse(payload);
+    // No nesting limit: the engine re-reads only what it wrote, and a
+    // document accepted under the request cap sits deeper inside this
+    // wrapper than it did in the request.
+    const Json j =
+        Json::parse(payload, std::numeric_limits<std::size_t>::max());
     if (j.get_or("format", Json(0)).as_int() != 1)
       corrupt(path, "unknown format version");
     Snapshot snap;

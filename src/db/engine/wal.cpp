@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -41,7 +42,11 @@ std::optional<WalRecord> parse_frame(const WalFormat& fmt,
   WalRecord rec;
   rec.seq = *seq;
   try {
-    rec.payload = json::Json::parse(payload);
+    // No nesting limit: the engine re-reads only what it wrote, and a
+    // document accepted under the request cap sits deeper inside a commit
+    // frame than it did in the request.
+    rec.payload =
+        json::Json::parse(payload, std::numeric_limits<std::size_t>::max());
   } catch (const json::JsonError&) {
     return std::nullopt;
   }
@@ -150,9 +155,10 @@ std::uint64_t WalWriter::append(const json::Json& payload) {
   std::lock_guard<std::mutex> lock(mu_);
   const std::uint64_t seq = next_seq_;
   const std::string seq_hex = hex64(seq);
-  const std::string body = seq_hex + " " + payload.dump();
-  const std::string frame =
-      seq_hex + " " + frame_checksum(fmt_, body) + " " + payload.dump() + "\n";
+  const std::string text = payload.dump();  // serialized once per record
+  const std::string frame = seq_hex + " " +
+                            frame_checksum(fmt_, seq_hex + " " + text) + " " +
+                            text + "\n";
 
   if (fault_ && fault_->fire(FaultPoint::WalAppend))
     throw CrashInjected("injected crash before WAL append (seq " + seq_hex +

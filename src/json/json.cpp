@@ -240,7 +240,8 @@ namespace {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, std::size_t max_depth)
+      : text_(text), max_depth_(max_depth) {}
 
   Json parse_document() {
     Json v = parse_value();
@@ -297,9 +298,16 @@ class Parser {
 
   Json parse_value() {
     skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      if (depth_ == max_depth_)
+        fail("nesting deeper than " + std::to_string(max_depth_) + " levels");
+      ++depth_;
+      Json v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
+    switch (c) {
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -479,13 +487,15 @@ class Parser {
   }
 
   std::string_view text_;
+  std::size_t max_depth_;
+  std::size_t depth_ = 0;  // open arrays/objects around the cursor
   std::size_t pos_ = 0;
 };
 
 }  // namespace
 
-Json Json::parse(std::string_view text) {
-  return Parser(text).parse_document();
+Json Json::parse(std::string_view text, std::size_t max_depth) {
+  return Parser(text, max_depth).parse_document();
 }
 
 }  // namespace gptc::json

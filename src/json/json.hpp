@@ -4,8 +4,10 @@
 // (matching the paper's MongoDB records), and the tuner's meta description
 // is itself JSON, so the library carries its own implementation instead of
 // an external dependency. The parser is a recursive-descent parser over the
-// full RFC 8259 grammar (with \uXXXX escapes and surrogate pairs); the
-// writer round-trips everything the parser accepts.
+// full RFC 8259 grammar (with \uXXXX escapes and surrogate pairs) whose
+// recursion is capped at a nesting depth, so hostile input fails with
+// JsonError rather than exhausting the stack; the writer round-trips
+// everything the parser accepts.
 #pragma once
 
 #include <cstdint>
@@ -127,8 +129,13 @@ class Json {
   /// with that many spaces per level.
   std::string dump(int indent = -1) const;
 
-  /// Parses a complete JSON document; trailing non-whitespace is an error.
-  static Json parse(std::string_view text);
+  /// Default nesting limit of parse(): request frames, files handed to the
+  /// CLI and query literals are parsed under it.
+  static constexpr std::size_t kMaxDepth = 256;
+
+  /// Parses a complete JSON document; trailing non-whitespace is an error,
+  /// and so is an array/object nesting deeper than `max_depth`.
+  static Json parse(std::string_view text, std::size_t max_depth = kMaxDepth);
 
  private:
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array,

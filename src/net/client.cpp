@@ -40,7 +40,10 @@ json::Json CrowdClient::call(const json::Json& request) {
 
   json::Json response;
   try {
-    response = json::Json::parse(body);
+    // A response nests stored records a few levels deeper than the request
+    // that uploaded them could; twice the request cap leaves that room and
+    // still bounds the recursion a hostile server can cause.
+    response = json::Json::parse(body, 2 * json::Json::kMaxDepth);
   } catch (const json::JsonError& e) {
     throw TransportError(std::string("unparseable response: ") + e.what());
   }

@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "crowd/query_language.hpp"
@@ -34,6 +35,46 @@ crowd::EvalUpload eval_from_json(const json::Json& r) {
   e.accessibility = crowd::Accessibility::from_json(
       r.get_or("accessibility", json::Json("public")));
   return e;
+}
+
+/// What every data op (upload, query, explain) establishes before it
+/// touches the repo: the caller's authentication proof, the problem
+/// partition and, for the read ops, the WHERE clause.
+struct RequestContext {
+  crowd::AuthedUser user;
+  std::string problem;
+  std::string where;
+};
+
+/// The shared preamble, checked in this order: api_key, authentication,
+/// problem, then where (when `reads_where`). Returns the context, or the
+/// error reply the request gets instead.
+std::variant<RequestContext, json::Json> request_context(
+    const crowd::SharedRepo& repo, const json::Json& request,
+    bool reads_where) {
+  const json::Json key = request.get_or("api_key", json::Json(nullptr));
+  if (!key.is_string()) {
+    return make_error(ErrorCode::Auth, "missing api_key");
+  }
+  std::optional<crowd::AuthedUser> user =
+      repo.authenticate_user(key.as_string());
+  if (!user) {
+    return make_error(ErrorCode::Auth, "invalid or revoked API key");
+  }
+  const json::Json problem = request.get_or("problem", json::Json(nullptr));
+  if (!problem.is_string()) {
+    return make_error(ErrorCode::BadRequest, "missing problem name");
+  }
+  std::string where;
+  if (reads_where) {
+    const json::Json w = request.get_or("where", json::Json(""));
+    if (!w.is_string()) {
+      return make_error(ErrorCode::BadRequest, "where must be a string");
+    }
+    where = w.as_string();
+  }
+  return RequestContext{std::move(*user), problem.as_string(),
+                        std::move(where)};
 }
 
 }  // namespace
@@ -253,19 +294,9 @@ json::Json CrowdServer::dispatch(const json::Json& request) {
 }
 
 json::Json CrowdServer::handle_upload(const json::Json& request) {
-  const json::Json key = request.get_or("api_key", json::Json(nullptr));
-  if (!key.is_string()) {
-    return make_error(ErrorCode::Auth, "missing api_key");
-  }
-  const std::optional<crowd::AuthedUser> user =
-      repo_.authenticate_user(key.as_string());
-  if (!user) {
-    return make_error(ErrorCode::Auth, "invalid or revoked API key");
-  }
-  const json::Json problem = request.get_or("problem", json::Json(nullptr));
-  if (!problem.is_string()) {
-    return make_error(ErrorCode::BadRequest, "missing problem name");
-  }
+  auto ctx = request_context(repo_, request, /*reads_where=*/false);
+  if (auto* error = std::get_if<json::Json>(&ctx)) return std::move(*error);
+  const RequestContext& c = std::get<RequestContext>(ctx);
   const json::Json records = request.get_or("records", json::Json(nullptr));
   if (!records.is_array() || records.as_array().empty()) {
     return make_error(ErrorCode::BadRequest,
@@ -287,7 +318,7 @@ json::Json CrowdServer::handle_upload(const json::Json& request) {
   }
 
   const crowd::SharedRepo::UploadReceipt receipt =
-      repo_.upload_batch(*user, problem.as_string(), evals);
+      repo_.upload_batch(c.user, c.problem, evals);
   // The ack gate: with async group commit this blocks until the commit
   // thread fsynced the batch's WAL — the shard WAL its frame lives in, or
   // the engine commit WAL when the upload spans shards or wrote catalog
@@ -305,26 +336,12 @@ json::Json CrowdServer::handle_upload(const json::Json& request) {
 }
 
 json::Json CrowdServer::handle_query(const json::Json& request) {
-  const json::Json key = request.get_or("api_key", json::Json(nullptr));
-  if (!key.is_string()) {
-    return make_error(ErrorCode::Auth, "missing api_key");
-  }
-  const std::optional<crowd::AuthedUser> user =
-      repo_.authenticate_user(key.as_string());
-  if (!user) {
-    return make_error(ErrorCode::Auth, "invalid or revoked API key");
-  }
-  const json::Json problem = request.get_or("problem", json::Json(nullptr));
-  if (!problem.is_string()) {
-    return make_error(ErrorCode::BadRequest, "missing problem name");
-  }
-  const json::Json where = request.get_or("where", json::Json(""));
-  if (!where.is_string()) {
-    return make_error(ErrorCode::BadRequest, "where must be a string");
-  }
+  auto ctx = request_context(repo_, request, /*reads_where=*/true);
+  if (auto* error = std::get_if<json::Json>(&ctx)) return std::move(*error);
+  const RequestContext& c = std::get<RequestContext>(ctx);
   std::vector<json::Json> found;
   try {
-    found = repo_.query_where(*user, problem.as_string(), where.as_string());
+    found = repo_.query_where(c.user, c.problem, c.where);
   } catch (const crowd::QueryParseError& e) {
     return make_error(ErrorCode::BadRequest, e.what());
   }
@@ -337,26 +354,11 @@ json::Json CrowdServer::handle_query(const json::Json& request) {
 }
 
 json::Json CrowdServer::handle_explain(const json::Json& request) {
-  const json::Json key = request.get_or("api_key", json::Json(nullptr));
-  if (!key.is_string()) {
-    return make_error(ErrorCode::Auth, "missing api_key");
-  }
-  const std::optional<crowd::AuthedUser> user =
-      repo_.authenticate_user(key.as_string());
-  if (!user) {
-    return make_error(ErrorCode::Auth, "invalid or revoked API key");
-  }
-  const json::Json problem = request.get_or("problem", json::Json(nullptr));
-  if (!problem.is_string()) {
-    return make_error(ErrorCode::BadRequest, "missing problem name");
-  }
-  const json::Json where = request.get_or("where", json::Json(""));
-  if (!where.is_string()) {
-    return make_error(ErrorCode::BadRequest, "where must be a string");
-  }
+  auto ctx = request_context(repo_, request, /*reads_where=*/true);
+  if (auto* error = std::get_if<json::Json>(&ctx)) return std::move(*error);
+  const RequestContext& c = std::get<RequestContext>(ctx);
   try {
-    return make_result(
-        repo_.explain_where(*user, problem.as_string(), where.as_string()));
+    return make_result(repo_.explain_where(c.user, c.problem, c.where));
   } catch (const crowd::QueryParseError& e) {
     return make_error(ErrorCode::BadRequest, e.what());
   }

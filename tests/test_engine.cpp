@@ -1,7 +1,8 @@
 // Storage-engine tests (src/db/engine/): WAL framing and torn-tail replay,
 // atomic snapshots, SipHash-2-4 reference vectors, ordered secondary
 // indexes (results byte-identical to a scan), durable open / checkpoint /
-// legacy-export migration, many-readers/one-writer concurrency, and the
+// refusal of files outside the naming rule, many-readers/one-writer
+// concurrency, and the
 // crash-recovery property — for every injected fault point (each WAL
 // append, torn final record, before/after each snapshot rename), reopening
 // the store yields query results bitwise-identical to an uninterrupted
@@ -111,8 +112,8 @@ void power_loss(const fs::path& dir,
   }
 }
 
-/// Whether any snapshot for `coll` exists, regardless of shard layout
-/// ("<coll>.snapshot" or "<coll>.s<k>of<n>.snapshot").
+/// Whether any snapshot for `coll` exists, regardless of shard count
+/// ("<coll>.s<k>of<n>.snapshot").
 bool any_snapshot(const fs::path& dir, const std::string& coll) {
   for (const auto& e : fs::directory_iterator(dir)) {
     const std::string name = e.path().filename().string();
@@ -489,28 +490,6 @@ TEST(DurableStore, ThresholdCheckpointCompactsWal) {
   EXPECT_EQ(reopened.collection("samples").size(), 64u);
 }
 
-TEST(DurableStore, MigratesLegacyJsonExportOnce) {
-  TempDir dir("gptc_engine_migrate");
-  {
-    DocumentStore legacy;
-    legacy.collection("samples").insert(doc(R"({"k":1})"));
-    legacy.collection("samples").insert(doc(R"({"k":2})"));
-    legacy.export_json(dir.path());
-  }
-  {
-    auto store = DocumentStore::open_durable(dir.path(), test_options());
-    EXPECT_EQ(store.collection("samples").size(), 2u);
-    store.collection("samples").insert(doc(R"({"k":3})"));
-    // Migration snapshots immediately and retires the export, so the stale
-    // file can never be mistaken for the base state again.
-    EXPECT_TRUE(any_snapshot(dir.path(), "samples"));
-    EXPECT_FALSE(fs::exists(dir.path() / "samples.json"));
-    EXPECT_TRUE(fs::exists(dir.path() / "samples.json.migrated"));
-  }
-  auto store = DocumentStore::open_durable(dir.path(), test_options());
-  EXPECT_EQ(store.collection("samples").size(), 3u);
-}
-
 TEST(DurableStore, CorruptSnapshotRefusesToOpen) {
   TempDir dir("gptc_engine_snapcorrupt");
   {
@@ -587,15 +566,33 @@ TEST(DurableStore, TornTailIsReportedAsRecoveryWarning) {
             std::string::npos);
 }
 
-TEST(DurableStore, ExportJsonStaysAvailableForInspection) {
-  TempDir dir("gptc_engine_export");
-  TempDir exp("gptc_engine_export_out");
+TEST(DurableStore, DocumentsAtTheParseDepthCapSurviveReopen) {
+  // A document as deep as a request may carry sits a few levels deeper
+  // inside a commit frame or a snapshot; the engine reads back what it
+  // wrote, whatever the request parser's limit.
+  const std::size_t depth = Json::kMaxDepth;
+  const Json deep = Json::parse(std::string(depth - 1, '[') + "1" +
+                                std::string(depth - 1, ']'));
+  Json d = Json::object();
+  d["deep"] = deep;
+  TempDir dir("gptc_engine_deepdoc");
+  {
+    auto store = DocumentStore::open_durable(dir.path(), test_options());
+    std::map<std::string, std::vector<Json>> docs;
+    docs["samples"] = {d, d};  // a commit frame at any shard count
+    docs["other"] = {d};
+    store.insert_atomic(std::move(docs));
+    store.collection("samples").insert(d);  // a shard WAL frame
+  }
+  {
+    auto store = DocumentStore::open_durable(dir.path(), test_options());
+    EXPECT_EQ(store.collection("samples").size(), 3u);
+    EXPECT_EQ(store.collection("other").size(), 1u);
+    store.checkpoint_all();
+  }
   auto store = DocumentStore::open_durable(dir.path(), test_options());
-  store.collection("samples").insert(doc(R"({"k":1})"));
-  store.export_json(exp.path());
-  const DocumentStore loaded = DocumentStore::load(exp.path());
-  ASSERT_NE(loaded.find_collection("samples"), nullptr);
-  EXPECT_EQ(loaded.find_collection("samples")->size(), 1u);
+  ASSERT_EQ(store.collection("samples").size(), 3u);
+  EXPECT_EQ(store.collection("samples").all()[2].at("deep"), deep);
 }
 
 TEST(DurableStore, KeyedWalChecksumRoundTrips) {
@@ -1042,7 +1039,7 @@ TEST(Sharding, MigrationPreservesByteIdenticalQueryResults) {
     auto store = DocumentStore::open_durable(dir.path(), sharded_options(4));
     EXPECT_EQ(store.storage_engine()->shard_count(), 4u);
     EXPECT_TRUE(fs::exists(dir.path() / "engine.manifest"));
-    EXPECT_FALSE(fs::exists(dir.path() / "samples.wal"));  // layout retired
+    EXPECT_FALSE(fs::exists(dir.path() / "samples.s0of1.wal"));  // retired
     auto& c = store.collection("samples");
     c.create_index("k");
     EXPECT_EQ(c.to_json().dump(), state1);
@@ -1054,10 +1051,10 @@ TEST(Sharding, MigrationPreservesByteIdenticalQueryResults) {
     state4 = c.to_json().dump();
   }
   {
-    // 4 -> 1: back to the exact legacy layout, nothing lost.
+    // 4 -> 1: one shard, named by the same rule as any other count.
     auto store = DocumentStore::open_durable(dir.path(), sharded_options(1));
     EXPECT_EQ(store.storage_engine()->shard_count(), 1u);
-    EXPECT_TRUE(fs::exists(dir.path() / "samples.snapshot"));
+    EXPECT_TRUE(fs::exists(dir.path() / "samples.s0of1.snapshot"));
     EXPECT_FALSE(fs::exists(dir.path() / "samples.s0of4.wal"));
     EXPECT_EQ(store.collection("samples").to_json().dump(), state4);
   }
@@ -1066,6 +1063,74 @@ TEST(Sharding, MigrationPreservesByteIdenticalQueryResults) {
     auto store = DocumentStore::open_durable(dir.path(), sharded_options(0));
     EXPECT_EQ(store.storage_engine()->shard_count(), 1u);
     EXPECT_EQ(store.collection("samples").to_json().dump(), state4);
+  }
+}
+
+/// Every regular file in `dir` with its bytes — a refused open must leave
+/// this map exactly as it found it.
+std::map<std::string, std::string> dir_contents(const fs::path& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    std::ifstream in(e.path(), std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    out[e.path().filename().string()] = buf.str();
+  }
+  return out;
+}
+
+TEST(Sharding, FilesOutsideTheNamingRuleAreRefusedAndKept) {
+  // A JSON collection file or an unsuffixed WAL/snapshot is never read,
+  // migrated or ignored: the open throws, naming the file, and deletes
+  // nothing — not even the crashed-migration debris it would otherwise
+  // sweep. "fresh" is a directory with no engine files at all.
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
+                                   std::size_t{4}}) {
+    for (const std::string foreign :
+         {"samples.json", "samples.wal", "samples.snapshot"}) {
+      SCOPED_TRACE((shards == 0 ? std::string("fresh")
+                                : std::to_string(shards) + " shard(s)") +
+                   ", " + foreign);
+      TempDir dir("gptc_shard_foreign");
+      if (shards > 0) {
+        auto store =
+            DocumentStore::open_durable(dir.path(), sharded_options(shards));
+        store.collection("samples").insert(doc(R"({"k":1})"));
+        store.checkpoint_all();
+        store.collection("samples").insert(doc(R"({"k":2})"));
+        std::ofstream(dir.path() / "samples.s0of8.snapshot") << "debris\n";
+      }
+      std::ofstream(dir.path() / foreign)
+          << R"({"name":"samples","next_id":2,"docs":[{"_id":1}]})" << "\n";
+      const auto before = dir_contents(dir.path());
+      for (const std::size_t reopen_at : {std::size_t{0}, std::size_t{2}}) {
+        try {
+          DocumentStore::open_durable(dir.path(), sharded_options(reopen_at));
+          ADD_FAILURE() << "open_durable accepted " << foreign;
+        } catch (const std::runtime_error& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("refusing to open"), std::string::npos) << what;
+          EXPECT_NE(what.find(foreign), std::string::npos) << what;
+        }
+        EXPECT_EQ(dir_contents(dir.path()), before);
+      }
+    }
+  }
+}
+
+TEST(Sharding, EngineFilesWithoutAManifestAreRefused) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    TempDir dir("gptc_shard_nomanifest");
+    {
+      auto store =
+          DocumentStore::open_durable(dir.path(), sharded_options(shards));
+      store.collection("samples").insert(doc(R"({"k":1})"));
+    }
+    fs::remove(dir.path() / "engine.manifest");
+    const auto before = dir_contents(dir.path());
+    EXPECT_THROW(DocumentStore::open_durable(dir.path(), sharded_options(0)),
+                 std::runtime_error);
+    EXPECT_EQ(dir_contents(dir.path()), before);
   }
 }
 

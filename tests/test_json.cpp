@@ -168,6 +168,24 @@ TEST(JsonParse, DeeplyNested) {
   EXPECT_EQ(j.as_int(), 1);
 }
 
+TEST(JsonParse, NestingPastTheCapThrowsInsteadOfOverflowingTheStack) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + "1" + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(Json::parse(arrays(Json::kMaxDepth)));
+  EXPECT_THROW(Json::parse(arrays(Json::kMaxDepth + 1)), JsonError);
+  // Objects count toward the same limit.
+  std::string objects;
+  for (std::size_t i = 0; i <= Json::kMaxDepth; ++i) objects += R"({"a":)";
+  objects += "1" + std::string(Json::kMaxDepth + 1, '}');
+  EXPECT_THROW(Json::parse(objects), JsonError);
+  // Hostile input: one stack frame per '[' would overflow long before the
+  // parser ever reached the missing closers.
+  EXPECT_THROW(Json::parse(std::string(200000, '[')), JsonError);
+  // A caller that trusts its text may lift the limit.
+  EXPECT_NO_THROW(Json::parse(arrays(Json::kMaxDepth + 1), Json::kMaxDepth + 1));
+}
+
 TEST(JsonParse, WhitespaceTolerance) {
   const Json j = Json::parse("  \t\r\n { \"a\" : [ 1 , 2 ] } \n ");
   EXPECT_EQ(j.at("a").size(), 2u);

@@ -351,6 +351,77 @@ TEST_F(NetTest, GarbageJsonGetsBadJsonAndKeepsConnection) {
   expect_alive();
 }
 
+TEST_F(NetTest, DeeplyNestedJsonGetsBadJsonAndKeepsConnection) {
+  start();
+  Socket sock = raw_connect();
+  // Parsed before authentication: without the parser's nesting cap this
+  // frame overflowed the worker's stack and killed the whole server.
+  const std::string nested(200000, '[');
+  std::string frame = encode_header(static_cast<std::uint32_t>(nested.size()));
+  frame += nested;
+  ASSERT_EQ(sock.send_all(frame.data(), frame.size()), IoStatus::Ok);
+  EXPECT_EQ(error_code_of(read_frame(sock)), "bad_json");
+
+  const std::string health = encode_frame(Json::parse(R"({"op":"health"})"));
+  ASSERT_EQ(sock.send_all(health.data(), health.size()), IoStatus::Ok);
+  EXPECT_TRUE(read_frame(sock).at("ok").as_bool());
+  expect_alive();
+}
+
+TEST_F(NetTest, RecordAtTheRequestDepthCapRoundTripsAcrossRestarts) {
+  // The deepest record a request may carry sits deeper still inside the
+  // engine's commit frame and snapshot, and inside the query response:
+  // each must read back, or one upload could make the repository refuse
+  // to open or poison every query of its problem.
+  start();
+  db::engine::EngineOptions eo;
+  eo.async_commit = true;
+  // frame -> records -> record -> task_parameters -> "m": the value's own
+  // arrays may take every level the request cap has left.
+  const std::size_t levels = Json::kMaxDepth - 4;
+  const Json deep = Json::parse(std::string(levels, '[') + "1" +
+                                std::string(levels, ']'));
+  crowd::EvalUpload e = make_eval(4, 1.5);
+  e.task_parameters["m"] = deep;
+  ASSERT_EQ(client().upload(api_key_, "deep", {e}).size(), 1u);
+  Json deeper = Json::array();
+  deeper.push_back(deep);
+  e.task_parameters["m"] = deeper;
+  try {
+    client().upload(api_key_, "deep", {e});
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& err) {
+    EXPECT_EQ(err.code(), ErrorCode::BadJson);
+  }
+
+  // Reopen through the WAL replay, then through a snapshot.
+  for (const bool checkpoint : {false, true}) {
+    server_->stop();
+    server_.reset();
+    if (checkpoint) repo_->checkpoint();
+    repo_.reset();
+    repo_ = std::make_unique<crowd::SharedRepo>(
+        crowd::SharedRepo::open_durable(dir_->path(), 7, eo));
+    start();
+    const auto records = client().query(api_key_, "deep", "");
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].at("task_parameters").at("m"), deep);
+  }
+}
+
+TEST_F(NetTest, DeeplyNestedWhereClauseIsBadRequest) {
+  start();
+  CrowdClient c = client();
+  try {
+    c.query(api_key_, "pdgeqrf",
+            std::string(10000, '(') + "mb = 4" + std::string(10000, ')'));
+    FAIL() << "expected RpcError";
+  } catch (const RpcError& e) {
+    EXPECT_EQ(e.code(), ErrorCode::BadRequest);
+  }
+  expect_alive();
+}
+
 TEST_F(NetTest, NonObjectAndUnknownOpAreBadRequests) {
   start();
   Socket sock = raw_connect();

@@ -106,6 +106,26 @@ TEST(QueryLanguage, SyntaxErrors) {
   EXPECT_THROW(q("AND mb = 4"), QueryParseError);
 }
 
+TEST(QueryLanguage, NestingPastTheCapThrowsInsteadOfOverflowingTheStack) {
+  const auto parens = [](std::size_t depth) {
+    return std::string(depth, '(') + "mb = 4" + std::string(depth, ')');
+  };
+  const auto nots = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "NOT ";
+    return text + "mb = 4";
+  };
+  EXPECT_NO_THROW(parse_where_clause(parens(json::Json::kMaxDepth)));
+  EXPECT_NO_THROW(parse_where_clause(nots(json::Json::kMaxDepth)));
+  EXPECT_THROW(parse_where_clause(parens(json::Json::kMaxDepth + 1)),
+               QueryParseError);
+  EXPECT_THROW(parse_where_clause(nots(json::Json::kMaxDepth + 1)),
+               QueryParseError);
+  // Hostile input: several stack frames per level would overflow first.
+  EXPECT_THROW(parse_where_clause(std::string(10000, '(')), QueryParseError);
+  EXPECT_THROW(parse_where_clause(parens(10000)), QueryParseError);
+}
+
 TEST(QueryLanguage, ErrorsCarryPosition) {
   try {
     q("mb = 4 AND nb >");

@@ -1448,28 +1448,24 @@ void ProjectIndex::finalize() {
     if (fn.guard_exempt || (!fn.cls.empty() && fn.base == fn.cls))
       exempt_[i] = 1;
   }
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (std::size_t i = 0; i < functions_.size(); ++i) {
-      if (exempt_[i] || incoming[i].empty()) continue;
-      bool all_exempt = true, any = false, from_lambda = false;
-      for (const auto& [caller, site] : incoming[i]) {
-        if (site->in_lambda) {
-          from_lambda = true;
-          break;
-        }
-        any = true;
-        if (!exempt_[caller]) {
-          all_exempt = false;
-          break;
-        }
-      }
-      if (!from_lambda && any && all_exempt) {
+  // Least fixpoint: exemption only ever turns on, so the worklist order
+  // cannot change the result. A newly exempt function's callees are
+  // revisited — their "every caller exempt" test reads it.
+  dataflow::solve(
+      functions_.size(),
+      [&](std::size_t i) {
+        if (exempt_[i] || incoming[i].empty()) return false;
+        for (const auto& [caller, site] : incoming[i])
+          if (site->in_lambda || !exempt_[caller]) return false;
         exempt_[i] = 1;
-        changed = true;
-      }
-    }
-  }
+        return true;
+      },
+      [&](std::size_t i) {
+        std::vector<std::size_t> callees;
+        for (const dataflow::Edge& e : graph_.out_edges(i))
+          callees.push_back(e.to);
+        return callees;
+      });
 
   // Held-at-entry: the locks provably held at EVERY visible non-lambda call
   // site from a non-exempt caller; greatest fixpoint over the call graph so
