@@ -4,9 +4,18 @@
 // lengthscales live on a common scale across parameters. Hyperparameters
 // are exposed in log space — the fit optimizers work on unconstrained
 // vectors.
+//
+// Bitwise rule: the kernel caches exp(log l_i) and exp(log s_f^2) when its
+// hyperparameters are set, so building a covariance costs one exp (plus one
+// sqrt for Matérn) per entry instead of d + 2. Every entry is still
+// computed with the same operations in the same order as the per-entry
+// formula: the lengthscale is divided, never multiplied as a reciprocal,
+// and nothing here may be built with -ffast-math or a vectorized exp —
+// test_determinism and the exact-equality tests in test_gp pin the bits.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "la/matrix.hpp"
@@ -32,8 +41,8 @@ class Kernel {
   const la::Vector& log_hyper() const { return log_hyper_; }
   void set_log_hyper(la::Vector h);
 
-  double signal_variance() const;
-  double lengthscale(std::size_t i) const;
+  double signal_variance() const { return sf2_; }
+  double lengthscale(std::size_t i) const { return lengthscale_[i]; }
 
   /// k(x, x').
   double operator()(std::span<const double> x, std::span<const double> y) const;
@@ -45,9 +54,17 @@ class Kernel {
   la::Matrix cross(const la::Matrix& x, const la::Matrix& z) const;
 
  private:
+  void check_dim(std::size_t n) const;
+  /// r^2 = sum_i ((x_i - y_i) / l_i)^2, accumulated in index order.
+  double scaled_r2(std::span<const double> x, std::span<const double> y) const;
+  /// s_f^2 * g(r) for the kernel kind.
+  double correlation(double r2) const;
+
   KernelKind kind_;
   std::size_t dim_;
   la::Vector log_hyper_;
+  la::Vector lengthscale_;  // exp(log_hyper_[i]), i < dim_
+  double sf2_ = 1.0;        // exp(log_hyper_[dim_])
 };
 
 /// Bounds used by hyperparameter optimizers (log space), wide enough for

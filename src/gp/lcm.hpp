@@ -16,6 +16,13 @@
 // Supporting an unequal number of samples per task is the Multitask(TS)
 // contribution of the paper: the model is built over the stacked sample
 // set, not over a shared design.
+//
+// Bitwise rule: theta is expanded once per covariance build into the Q
+// latent kernels (cached exp of each lengthscale, unit variance), the B_q
+// matrices and the per-task noise, so an entry costs one exp per latent.
+// Each entry keeps the per-entry formula's operations and order (division
+// by the lengthscale, B_q[i][j] = a_i*a_j (+ kappa_i), latents summed in q
+// order); no fast-math or vectorized exp — see gp/kernel.hpp.
 #pragma once
 
 #include <memory>
@@ -78,29 +85,31 @@ class LcmModel {
   /// hyperparameters (standardized units) — exposed for tests/diagnostics.
   double task_covariance(std::size_t i, std::size_t j) const;
 
+  /// Fitted hyperparameters — exposed for tests/diagnostics. Layout per
+  /// latent q: [log l_1..log l_d, a_1..a_T, log kappa_1..log kappa_T], then
+  /// [log noise_1..log noise_T].
+  const la::Vector& theta() const { return theta_; }
+
   /// A Surrogate view of one task, sharing this model.
   static SurrogatePtr task_view(std::shared_ptr<const LcmModel> model,
                                 std::size_t task);
 
  private:
-  struct Hyper {
-    // Layout per latent q: [log l_1..log l_d, a_1..a_T, log kappa_1..log
-    // kappa_T], then [log noise_1..log noise_T].
-    la::Vector theta;
+  /// theta expanded once per covariance build.
+  struct Expansion {
+    std::vector<Kernel> latent;     // Q unit-variance kernels (s_f^2 = e^0)
+    std::vector<la::Matrix> coreg;  // Q T x T matrices B_q
+    la::Vector noise;               // per task, floored at min_noise
   };
 
   std::size_t theta_size() const;
-  double coreg(const la::Vector& theta, std::size_t q, std::size_t i,
-               std::size_t j) const;
-  double latent_kernel(const la::Vector& theta, std::size_t q,
-                       std::span<const double> x,
-                       std::span<const double> y) const;
-  double cov_entry(const la::Vector& theta, std::size_t task_i,
+  Expansion expand(const la::Vector& theta) const;
+  double cov_entry(const Expansion& e, std::size_t task_i,
                    std::span<const double> xi, std::size_t task_j,
                    std::span<const double> xj) const;
   double neg_log_likelihood(const la::Vector& theta) const;
   /// K + noise over the stacked samples; rows built in parallel.
-  la::Matrix stacked_covariance(const la::Vector& theta) const;
+  la::Matrix stacked_covariance(const Expansion& e) const;
   void compute_state();
 
   std::size_t dim_;
@@ -109,6 +118,7 @@ class LcmModel {
 
   bool fitted_ = false;
   la::Vector theta_;
+  Expansion fitted_expansion_;  // expand(theta_)
 
   // Stacked (subsampled, standardized) training data.
   la::Matrix x_;                    // all points, row stacked
