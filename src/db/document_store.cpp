@@ -932,7 +932,12 @@ DocumentStore DocumentStore::open_durable(const std::filesystem::path& dir,
   DocumentStore store;
   store.engine_ =
       std::make_unique<engine::StorageEngine>(dir, std::move(options));
-  store.engine_->recover(store);
+  try {
+    store.engine_->recover(store);
+  } catch (...) {
+    store.engine_->abandon();
+    throw;
+  }
   return store;
 }
 

@@ -27,6 +27,7 @@ using json::Json;
 namespace {
 
 constexpr const char* kManifestName = "engine.manifest";
+constexpr const char* kLockName = "engine.lock";
 constexpr const char* kCommitPrefix = "engine.commit.s";
 constexpr const char* kNamingRule =
     "an engine directory holds only <coll>.s<k>of<N>.{wal,snapshot}";
@@ -134,9 +135,18 @@ StorageEngine::StorageEngine(std::filesystem::path dir, EngineOptions opts)
   // Make the engine directory's own entry durable, or a crash right after
   // creation can take the whole directory (and its fsynced files) with it.
   sync_parent_dir(dir_);
+  // Taken before recover() reads or deletes anything: a second handle on
+  // a live directory is refused with the directory untouched.
+  try {
+    lock_ = FileLock(dir_ / kLockName);
+  } catch (const std::runtime_error& e) {
+    refuse(dir_, e.what());
+  }
   if (opts_.async_commit)
     committer_ = std::make_unique<GroupCommitter>(opts_.fault);
 }
+
+void StorageEngine::abandon() { lock_.release_and_remove_if_created(); }
 
 std::size_t StorageEngine::inline_group_commit() const {
   // Async mode: the WalWriter never fsyncs on its own — the commit thread

@@ -17,6 +17,8 @@
 //   engine.manifest               {"format":1,"shards":N} — atomic flip
 //   <coll>.s<k>of<N>.wal / ...snapshot        k in [0, N), any N >= 1
 //   engine.commit.s<N>.wal        logical cross-shard commit records
+//   engine.lock                   empty; flock(LOCK_EX) held by the open
+//                                 engine, so one directory has one writer
 //
 // One naming rule holds at every N, and the engine reads nothing else: a
 // `<coll>.json` file or an unsuffixed `<coll>.wal`/`.snapshot` in the
@@ -73,6 +75,7 @@
 
 #include "db/engine/commit.hpp"
 #include "db/engine/fault.hpp"
+#include "db/engine/fsutil.hpp"
 #include "db/engine/siphash.hpp"
 #include "db/engine/wal.hpp"
 #include "json/json.hpp"
@@ -150,6 +153,11 @@ class StorageEngine {
   /// unsuffixed `<coll>.wal`/`.snapshot`) — refusing to open beats silently
   /// discarding or shadowing committed records.
   void recover(DocumentStore& store);
+
+  /// Called when recover() throws: releases the directory lock, removing
+  /// engine.lock if this open created it, so a refused directory is left
+  /// exactly as it was found.
+  void abandon();
 
   /// Re-points the engine at its owning store after that store moved
   /// (open_durable returns it by value). Not safe against concurrent use.
@@ -258,6 +266,9 @@ class StorageEngine {
 
   std::filesystem::path dir_;  // guard-ok: immutable after construction
   EngineOptions opts_;         // guard-ok: immutable after construction
+  /// Held for the engine's lifetime; declared before every file-owning
+  /// member so it is released only after they are closed.
+  FileLock lock_;  // guard-ok: set once in the constructor
   // guard-ok: written only during single-threaded recovery/migration
   std::size_t shard_count_ = 1;
   // guard-ok: written only during single-threaded recovery

@@ -5,6 +5,9 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 
 #include "crowd/envparse.hpp"
 #include "crowd/meta.hpp"
@@ -536,6 +539,44 @@ TEST(SharedRepoDurable, SizeTriggeredCompactionKeepsEveryRecord) {
   }
   const SharedRepo repo = SharedRepo::open_durable(dir.path);
   EXPECT_EQ(repo.num_records("pdgeqrf"), 200u);
+}
+
+TEST(SharedRepoDurable, SecondOpenOfALiveDirectoryIsRefused) {
+  // Two live handles would append to the same WALs with their own sequence
+  // counters; the second open must fail before touching any file.
+  for (const std::size_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    RepoDir dir("gptc_repo_durable_lock");
+    db::engine::EngineOptions eo;
+    eo.shards = shards;
+    const auto files = [&] {
+      std::map<std::string, std::string> contents;
+      for (const auto& e : std::filesystem::directory_iterator(dir.path)) {
+        std::ifstream in(e.path(), std::ios::binary);
+        contents[e.path().filename().string()] =
+            std::string(std::istreambuf_iterator<char>(in), {});
+      }
+      return contents;
+    };
+    std::string alice, carol;
+    {
+      SharedRepo first = SharedRepo::open_durable(dir.path, 7, eo);
+      alice = first.register_user("alice", "alice@lab.gov");
+      first.sync();
+      const auto before = files();
+      EXPECT_THROW(SharedRepo::open_durable(dir.path, 7, eo),
+                   std::runtime_error);
+      EXPECT_THROW(SharedRepo::open_durable(dir.path), std::runtime_error);
+      EXPECT_EQ(files(), before);
+      EXPECT_EQ(first.num_users(), 1u);
+      EXPECT_EQ(first.authenticate(alice).value(), "alice");
+      carol = first.register_user("carol", "carol@lab.gov");
+    }
+    const SharedRepo reopened = SharedRepo::open_durable(dir.path, 7, eo);
+    EXPECT_EQ(reopened.num_users(), 2u);
+    EXPECT_EQ(reopened.authenticate(alice).value(), "alice");
+    EXPECT_EQ(reopened.authenticate(carol).value(), "carol");
+  }
 }
 
 TEST_F(RepoTest, QueriesByteIdenticalWithIndexesOn) {

@@ -471,21 +471,40 @@ TEST(DurableStore, ReopenRecoversInsertsUpdatesRemoves) {
   EXPECT_EQ(store.collection("samples").insert(doc(R"({"k":4})")), 4);
 }
 
+TEST(DurableStore, SecondOpenOfALiveDirectoryIsRefused) {
+  // The directory lock moves with the store and is released only when the
+  // engine holding it is destroyed.
+  TempDir dir("gptc_engine_lock");
+  {
+    auto first = DocumentStore::open_durable(dir.path(), test_options());
+    first.collection("samples").insert(doc(R"({"k":1})"));
+    const DocumentStore moved = std::move(first);
+    EXPECT_THROW(DocumentStore::open_durable(dir.path(), test_options()),
+                 std::runtime_error);
+    EXPECT_EQ(moved.find_collection("samples")->size(), 1u);
+  }
+  auto reopened = DocumentStore::open_durable(dir.path(), test_options());
+  ASSERT_NE(reopened.find_collection("samples"), nullptr);
+  EXPECT_EQ(reopened.find_collection("samples")->size(), 1u);
+}
+
 TEST(DurableStore, ThresholdCheckpointCompactsWal) {
   TempDir dir("gptc_engine_compact");
   EngineOptions opts = test_options();
   opts.checkpoint_wal_bytes = 512;  // tiny: force frequent checkpoints
-  auto store = DocumentStore::open_durable(dir.path(), opts);
-  auto& c = store.collection("samples");
-  for (int i = 0; i < 64; ++i)
-    c.insert(doc(R"({"payload":"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"})"));
-  EXPECT_TRUE(any_snapshot(dir.path(), "samples"));
-  // Each shard's WAL was truncated at its last checkpoint, so the total is
-  // far smaller than the volume appended.
-  std::uint64_t total = 0;
-  for (const auto& stem : wal_stems(store, "samples"))
-    total += store.storage_engine()->wal_bytes(stem);
-  EXPECT_LT(total, 1024u * store.storage_engine()->shard_count());
+  {
+    auto store = DocumentStore::open_durable(dir.path(), opts);
+    auto& c = store.collection("samples");
+    for (int i = 0; i < 64; ++i)
+      c.insert(doc(R"({"payload":"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"})"));
+    EXPECT_TRUE(any_snapshot(dir.path(), "samples"));
+    // Each shard's WAL was truncated at its last checkpoint, so the total
+    // is far smaller than the volume appended.
+    std::uint64_t total = 0;
+    for (const auto& stem : wal_stems(store, "samples"))
+      total += store.storage_engine()->wal_bytes(stem);
+    EXPECT_LT(total, 1024u * store.storage_engine()->shard_count());
+  }
   auto reopened = DocumentStore::open_durable(dir.path(), opts);
   EXPECT_EQ(reopened.collection("samples").size(), 64u);
 }
