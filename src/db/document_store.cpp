@@ -1,6 +1,7 @@
 #include "db/document_store.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 
@@ -9,60 +10,6 @@
 namespace gptc::db {
 
 namespace {
-
-bool compare_lt(const Json& a, const Json& b) {
-  if (a.is_number() && b.is_number()) return a.as_double() < b.as_double();
-  if (a.is_string() && b.is_string()) return a.as_string() < b.as_string();
-  return false;  // incomparable types never satisfy an ordering operator
-}
-
-bool in_list(const Json& value, const Json& list) {
-  for (const auto& item : list.as_array())
-    if (value == item) return true;
-  return false;
-}
-
-/// Applies one operator object ({"$gte": 5, "$lt": 9}) to a present value.
-bool match_operators(const Json& value, const Json& ops) {
-  for (const auto& [op, operand] : ops.as_object()) {
-    if (op == "$eq") {
-      if (!(value == operand)) return false;
-    } else if (op == "$ne") {
-      if (value == operand) return false;
-    } else if (op == "$gt") {
-      if (!compare_lt(operand, value)) return false;
-    } else if (op == "$gte") {
-      if (compare_lt(value, operand)) return false;
-      if (!value.is_number() && !value.is_string()) return false;
-      if (value.is_number() != operand.is_number()) return false;
-    } else if (op == "$lt") {
-      if (!compare_lt(value, operand)) return false;
-    } else if (op == "$lte") {
-      if (compare_lt(operand, value)) return false;
-      if (!value.is_number() && !value.is_string()) return false;
-      if (value.is_number() != operand.is_number()) return false;
-    } else if (op == "$in") {
-      if (!in_list(value, operand)) return false;
-    } else if (op == "$nin") {
-      if (in_list(value, operand)) return false;
-    } else if (op == "$exists") {
-      // Presence already established by the caller; $exists:false fails.
-      if (!operand.as_bool()) return false;
-    } else {
-      throw json::JsonError("unknown query operator: " + op);
-    }
-  }
-  return true;
-}
-
-bool is_operator_object(const Json& j) {
-  if (!j.is_object() || j.as_object().empty()) return false;
-  for (const auto& [k, v] : j.as_object()) {
-    (void)v;
-    if (k.empty() || k[0] != '$') return false;
-  }
-  return true;
-}
 
 /// Atomic max fold for the id counter: shard recovery tasks (and
 /// restore_shard) run in parallel, each pushing the counter past the ids it
@@ -86,46 +33,17 @@ std::vector<std::shared_lock<std::shared_mutex>> lock_shared_all(
   return locks;
 }
 
+void require_objects(const std::vector<Json>& documents, const char* caller) {
+  for (const auto& d : documents)
+    if (!d.is_object())
+      throw json::JsonError(std::string(caller) +
+                            ": every document must be an object");
+}
+
 }  // namespace
 
 const Json* lookup_path(const Json& document, const std::string& path) {
   return query::lookup(document, std::string_view(path));
-}
-
-bool matches(const Json& document, const Json& query) {
-  if (!query.is_object())
-    throw json::JsonError("query must be a JSON object");
-  for (const auto& [key, condition] : query.as_object()) {
-    if (key == "$and") {
-      for (const auto& sub : condition.as_array())
-        if (!matches(document, sub)) return false;
-    } else if (key == "$or") {
-      bool any = false;
-      for (const auto& sub : condition.as_array())
-        if (matches(document, sub)) {
-          any = true;
-          break;
-        }
-      if (!any) return false;
-    } else if (key == "$not") {
-      if (matches(document, condition)) return false;
-    } else {
-      const Json* value = lookup_path(document, key);
-      if (is_operator_object(condition)) {
-        if (!value) {
-          // Only {$exists:false} can match a missing field.
-          const auto& ops = condition.as_object();
-          const auto it = ops.find("$exists");
-          if (it == ops.end() || it->second.as_bool()) return false;
-          continue;
-        }
-        if (!match_operators(*value, condition)) return false;
-      } else {
-        if (!value || !(*value == condition)) return false;
-      }
-    }
-  }
-  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -193,172 +111,174 @@ std::int64_t Collection::insert(Json document) {
     throw json::JsonError("Collection::insert: document must be an object");
   const std::int64_t id = next_id_.fetch_add(1);
   document["_id"] = id;
-  const std::size_t k = shard_of(id);
-  Shard& s = *shards_[k];
-  {
-    std::unique_lock lock(s.mu);
-    if (engine_) {
-      Json op = Json::object();
-      op["o"] = "i";
-      op["d"] = document;
-      engine_->log_op(*this, k, op);  // write-ahead: log before apply
-    }
-    insert_into_shard(s, std::move(document));
-  }
-  // Checkpoint with the shard unlocked: the snapshot I/O must not extend
-  // this writer's critical section.
-  if (engine_) engine_->maybe_checkpoint(*this, k);
+  Json op = Json::object();
+  op["o"] = "i";
+  op["d"] = std::move(document);
+  std::vector<Member> members;
+  members.push_back({this, shard_of(id), std::move(op)});
+  commit(engine_, std::move(members));
   return id;
 }
 
 Collection::BatchInsert Collection::insert_batch(std::vector<Json> documents) {
-  for (const auto& d : documents)
-    if (!d.is_object())
-      throw json::JsonError(
-          "Collection::insert_batch: every document must be an object");
+  require_objects(documents, "Collection::insert_batch");
   BatchInsert out;
-  if (documents.empty()) return out;
-  out.ids.reserve(documents.size());
-
-  // Assign ids up front, then bucket by shard. Ids ascend through the
-  // batch, so each shard's slice stays in ascending-id (= insertion) order.
-  const std::int64_t base =
-      next_id_.fetch_add(static_cast<std::int64_t>(documents.size()));
-  std::map<std::size_t, std::vector<Json>> by_shard;
-  for (std::size_t i = 0; i < documents.size(); ++i) {
-    const std::int64_t id = base + static_cast<std::int64_t>(i);
-    documents[i]["_id"] = id;
-    out.ids.push_back(id);
-    by_shard[shard_of(id)].push_back(std::move(documents[i]));
-  }
-
-  if (by_shard.size() == 1) {
-    // Whole batch on one shard: a single shard-WAL batch frame is already
-    // crash-atomic (replayed whole or not at all), no commit record needed.
-    const std::size_t k = by_shard.begin()->first;
-    auto& docs = by_shard.begin()->second;
-    Shard& s = *shards_[k];
-    {
-      std::unique_lock lock(s.mu);
-      if (engine_) {
-        Json batch = Json::array();
-        for (const auto& d : docs) batch.as_array().push_back(d);
-        Json op = Json::object();
-        op["o"] = "b";
-        op["ds"] = std::move(batch);
-        const std::uint64_t seq = engine_->log_op(*this, k, op);
-        out.ticket = {
-            engine::StorageEngine::shard_stem(name_, k, shard_count()), seq};
-        out.commit_seq = seq;
-      }
-      for (auto& d : docs) insert_into_shard(s, std::move(d));
-    }
-    if (engine_) engine_->maybe_checkpoint(*this, k);
-    return out;
-  }
-
-  // The batch spans shards: one logical commit record covers every
-  // per-shard batch frame, and application happens under all affected
-  // shard writer locks — readers and recovery see none or all of it.
-  std::map<std::size_t, Json> ops;
-  for (const auto& [k, docs] : by_shard) {
-    Json batch = Json::array();
-    for (const auto& d : docs) batch.as_array().push_back(d);
-    Json op = Json::object();
-    op["o"] = "b";
-    op["ds"] = std::move(batch);
-    ops.emplace(k, std::move(op));
-  }
-  out.ticket = commit_multi(ops, [&] {
-    for (auto& [k, docs] : by_shard)
-      for (auto& d : docs) insert_into_shard(*shards_[k], std::move(d));
-  });
+  std::vector<Member> members;
+  out.ids = stage_batch(std::move(documents), members);
+  out.ticket = commit(engine_, std::move(members)).ticket;
   out.commit_seq = out.ticket.seq;
   return out;
 }
 
-engine::CommitTicket Collection::commit_multi(
-    const std::map<std::size_t, Json>& ops_by_shard,
-    const std::function<void()>& apply) {
-  if (!engine_) {
-    std::vector<std::unique_lock<std::shared_mutex>> locks;
-    locks.reserve(ops_by_shard.size());
-    for (const auto& [k, op] : ops_by_shard) {
-      (void)op;
-      locks.emplace_back(shards_[k]->mu);
+std::vector<std::int64_t> Collection::stage_batch(std::vector<Json> documents,
+                                                  std::vector<Member>& members) {
+  // Ids ascend through the batch, so each shard's slice stays in
+  // ascending-id (= insertion) order.
+  std::vector<std::int64_t> ids;
+  ids.reserve(documents.size());
+  const std::int64_t base =
+      next_id_.fetch_add(static_cast<std::int64_t>(documents.size()));
+  std::map<std::size_t, Json> ops;  // shard -> its slice as one batch op
+  for (std::size_t i = 0; i < documents.size(); ++i) {
+    const std::int64_t id = base + static_cast<std::int64_t>(i);
+    documents[i]["_id"] = id;
+    ids.push_back(id);
+    Json& op = ops[shard_of(id)];
+    if (op.is_null()) {
+      op["o"] = "b";
+      op["ds"] = Json::array();
     }
-    apply();
-    return {};
+    op["ds"].as_array().push_back(std::move(documents[i]));
   }
-  engine::CommitTicket ticket;
+  for (auto& [k, op] : ops) members.push_back({this, k, std::move(op)});
+  return ids;
+}
+
+std::vector<Collection::Member> Collection::on_every_shard(const Json& op) {
+  std::vector<Member> members;
+  members.reserve(shard_count());
+  for (std::size_t k = 0; k < shard_count(); ++k)
+    members.push_back({this, k, op});
+  return members;
+}
+
+Collection::Committed Collection::commit(engine::StorageEngine* engine,
+                                         std::vector<Member> members) {
+  Committed out;
+  if (members.empty()) return out;
+  std::sort(members.begin(), members.end(),
+            [](const Member& a, const Member& b) {
+              if (a.collection != b.collection)
+                return a.collection->name() < b.collection->name();
+              return a.shard < b.shard;
+            });
+  // One shard: its own WAL frame is already crash-atomic (replayed whole or
+  // not at all). Several: one commit-WAL record covers every member.
+  const bool cross_shard = members.size() > 1;
   {
-    // Lock order: commit gate (shared) -> shard writer locks (ascending:
-    // ops_by_shard is a sorted map) -> WAL internals inside log_commit.
-    std::shared_lock gate(engine_->commit_gate());
+    // Lock order: commit gate (shared, cross-shard commits only) -> shard
+    // writer locks (collection name, then ascending shard: the sort above)
+    // -> WAL internals inside log_op/log_commit.
+    std::shared_lock<std::shared_mutex> gate;
+    if (engine && cross_shard)
+      gate = std::shared_lock<std::shared_mutex>(engine->commit_gate());
     std::vector<std::unique_lock<std::shared_mutex>> locks;
-    locks.reserve(ops_by_shard.size());
-    for (const auto& [k, op] : ops_by_shard) {
-      (void)op;
-      locks.emplace_back(shards_[k]->mu);
+    locks.reserve(members.size());
+    for (const auto& m : members) {
+      Shard& s = *m.collection->shards_[m.shard];
+      locks.emplace_back(s.mu);
     }
-    std::vector<engine::StorageEngine::CommitMember> members;
-    members.reserve(ops_by_shard.size());
-    for (const auto& [k, op] : ops_by_shard)
-      members.push_back({this, k, op});
-    ticket = engine_->log_commit(members);  // write-ahead: log before apply
-    apply();
+    if (engine)  // write-ahead: log before apply
+      out.ticket = cross_shard
+                       ? engine->log_commit(members)
+                       : engine->log_op(*members[0].collection,
+                                        members[0].shard, members[0].op);
+    // Readers and recovery see none or all of the members.
+    for (auto& m : members)
+      out.applied += m.collection->apply_op(m.shard, std::move(m.op));
   }
-  // Shard locks and the commit gate are released: checkpoints (snapshot
-  // I/O) run without extending the commit's critical section.
-  for (const auto& [k, op] : ops_by_shard) {
-    (void)op;
-    engine_->maybe_checkpoint(*this, k);
-  }
-  engine_->maybe_compact_commits();  // needs the gate exclusively: call last
-  return ticket;
-}
-
-const engine::OrderedIndex* Collection::exact_index(
-    const Shard& s, const Json& query, const Json** condition) const {
-  // Exactness needs the whole query to BE the one indexed condition: with a
-  // second field in play the index only ever narrows, never answers.
-  if (!query.is_object() || query.as_object().size() != 1) return nullptr;
-  const auto& [key, cond] = *query.as_object().begin();
-  if (key.empty() || key[0] == '$') return nullptr;
-  const auto it = s.indexes.find(key);
-  if (it == s.indexes.end()) return nullptr;
-  if (!engine::OrderedIndex::exact(cond)) return nullptr;
-  *condition = &cond;
-  return &it->second;
-}
-
-const Json* Collection::doc_by_id(const Shard& s, std::int64_t id) {
-  const auto it = s.id_pos.find(id);
-  return it == s.id_pos.end() ? nullptr : &s.docs[it->second];
-}
-
-std::vector<Json> Collection::merge_by_id(
-    std::vector<std::vector<Json>> parts) {
-  if (parts.size() == 1) return std::move(parts[0]);
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<Json> out;
-  out.reserve(total);
-  std::vector<std::size_t> pos(parts.size(), 0);
-  while (out.size() < total) {
-    std::size_t best = parts.size();
-    std::int64_t best_id = 0;
-    for (std::size_t i = 0; i < parts.size(); ++i) {
-      if (pos[i] >= parts[i].size()) continue;
-      const std::int64_t id = parts[i][pos[i]].at("_id").as_int();
-      if (best == parts.size() || id < best_id) {
-        best = i;
-        best_id = id;
-      }
-    }
-    out.push_back(std::move(parts[best][pos[best]++]));
+  if (engine) {
+    // Shard locks and the commit gate are released: checkpoints (snapshot
+    // I/O) run without extending the commit's critical section.
+    for (const auto& m : members) engine->maybe_checkpoint(*m.collection, m.shard);
+    if (cross_shard) engine->maybe_compact_commits();  // takes the gate
   }
   return out;
+}
+
+std::size_t Collection::apply_op(std::size_t shard, Json op) {
+  Shard& s = *shards_[shard];
+  const std::string& kind = op.at("o").as_string();
+  if (kind == "i") {
+    insert_into_shard(s, std::move(op["d"]));
+    return 1;
+  }
+  if (kind == "b") {
+    // One frame (or one commit member) = this shard's slice of the batch,
+    // applied whole (batch crash atomicity).
+    auto& docs = op["ds"].as_array();
+    for (auto& d : docs) insert_into_shard(s, std::move(d));
+    return docs.size();
+  }
+  if (kind == "u")
+    return update_shard_locked(s, query::CompiledQuery::compile(op.at("q")),
+                               op.at("u"));
+  if (kind == "r")
+    return remove_shard_locked(s, query::CompiledQuery::compile(op.at("q")));
+  throw std::runtime_error("unknown op '" + kind + "' in collection " + name_);
+}
+
+void Collection::scan(const query::CompiledQuery& cq,
+                      const std::function<bool(const Json&)>& visit) const {
+  // Each shard yields its matches in ascending id order, from its planned
+  // candidate ids or (no usable index) its whole id map. Ids are globally
+  // unique and monotone, so visiting the smallest head each step IS
+  // insertion order — byte-identical to an unsharded scan.
+  struct Cursor {
+    const Shard* s = nullptr;
+    query::ShardPlan plan;
+    std::size_t next_candidate = 0;
+    std::map<std::int64_t, std::size_t>::const_iterator next_pos;
+    const Json* head = nullptr;  // current match; nullptr once exhausted
+    std::int64_t head_id = 0;
+  };
+  const auto advance = [&cq](Cursor& c) {
+    c.head = nullptr;
+    while (c.head == nullptr) {
+      std::int64_t id = 0;
+      const Json* d = nullptr;
+      if (c.plan.index_scan) {
+        if (c.next_candidate == c.plan.candidates.size()) return;
+        id = c.plan.candidates[c.next_candidate++];
+        const auto it = c.s->id_pos.find(id);
+        if (it == c.s->id_pos.end()) continue;
+        d = &c.s->docs[it->second];
+      } else {
+        if (c.next_pos == c.s->id_pos.end()) return;
+        id = c.next_pos->first;
+        d = &c.s->docs[c.next_pos->second];
+        ++c.next_pos;
+      }
+      if (cq.eval(*d)) {
+        c.head = d;
+        c.head_id = id;
+      }
+    }
+  };
+  std::vector<Cursor> cur(shards_.size());
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    cur[k].s = shards_[k].get();
+    cur[k].plan = query::plan_shard(cur[k].s->indexes, cq);
+    cur[k].next_pos = cur[k].s->id_pos.begin();
+    advance(cur[k]);
+  }
+  while (true) {
+    Cursor* best = nullptr;
+    for (auto& c : cur)
+      if (c.head && (!best || c.head_id < best->head_id)) best = &c;
+    if (!best || !visit(*best->head)) return;
+    advance(*best);
+  }
 }
 
 std::vector<Json> Collection::find(const Json& query) const {
@@ -371,30 +291,12 @@ std::vector<Json> Collection::find_filtered(
   // re-checks every shard.
   const auto cq = query::CompiledQuery::compile(query);
   const auto locks = lock_shared_all(shards_);
-  std::vector<std::vector<Json>> parts;
-  parts.reserve(shards_.size());
-  for (const auto& sp : shards_) {
-    const Shard& s = *sp;
-    std::vector<Json> part;
-    const auto plan = query::plan_shard(s.indexes, cq);
-    if (plan.index_scan) {
-      // Ids ascend in insertion order, so each part matches a shard scan.
-      for (const std::int64_t id : plan.candidates) {
-        const Json* d = doc_by_id(s, id);
-        if (d && cq.eval(*d) && pred(*d)) part.push_back(*d);
-      }
-    } else {
-      for (const auto& [id, p] : s.id_pos) {
-        (void)id;
-        const Json& d = s.docs[p];
-        if (cq.eval(d) && pred(d)) part.push_back(d);
-      }
-    }
-    parts.push_back(std::move(part));
-  }
-  // Per-shard parts are each in ascending-id order; the id merge restores
-  // global insertion order, byte-identical to the unsharded scan.
-  return merge_by_id(std::move(parts));
+  std::vector<Json> out;
+  scan(cq, [&](const Json& d) {
+    if (pred(d)) out.push_back(d);
+    return true;
+  });
+  return out;
 }
 
 Json Collection::explain(const Json& query) const {
@@ -430,143 +332,56 @@ Json Collection::explain(const Json& query) const {
 Json Collection::find_one(const Json& query) const {
   const auto cq = query::CompiledQuery::compile(query);
   const auto locks = lock_shared_all(shards_);
-  const Json* best = nullptr;
-  std::int64_t best_id = 0;
-  for (const auto& sp : shards_) {
-    const Shard& s = *sp;
-    const Json* first = nullptr;
-    const auto plan = query::plan_shard(s.indexes, cq);
-    if (plan.index_scan) {
-      for (const std::int64_t id : plan.candidates) {
-        const Json* d = doc_by_id(s, id);
-        if (d && cq.eval(*d)) {
-          first = d;
-          break;
-        }
-      }
-    } else {
-      for (const auto& [id, p] : s.id_pos) {
-        (void)id;
-        if (cq.eval(s.docs[p])) {
-          first = &s.docs[p];
-          break;
-        }
-      }
-    }
-    if (first) {
-      const std::int64_t id = first->at("_id").as_int();
-      if (!best || id < best_id) {
-        best = first;
-        best_id = id;
-      }
-    }
-  }
-  return best ? *best : Json();
+  Json first;
+  scan(cq, [&](const Json& d) {
+    first = d;
+    return false;
+  });
+  return first;
 }
 
 std::size_t Collection::count(const Json& query) const {
-  const auto cq = query::CompiledQuery::compile(query);
+  return count_upto(query, std::numeric_limits<std::size_t>::max());
+}
+
+bool Collection::exists(const Json& query) const {
+  return count_upto(query, 1) != 0;
+}
+
+std::size_t Collection::count_upto(const Json& query, std::size_t limit) const {
+  const auto cq = query::CompiledQuery::compile(query);  // validates: object
   const auto locks = lock_shared_all(shards_);
-  {
-    const Json* cond = nullptr;
-    if (exact_index(*shards_[0], query, &cond) != nullptr) {
-      // Index-only: posting-list sizes ARE the per-shard match counts.
-      std::size_t n = 0;
+  std::size_t n = 0;
+  // Index-only when the whole query IS one indexed condition the index
+  // answers exactly: the posting lists are then the per-shard match sets.
+  // With a second field in play the index only ever narrows.
+  const auto& fields = query.as_object();
+  if (fields.size() == 1) {
+    const auto& [path, condition] = *fields.begin();
+    if (path[0] != '$' && shards_[0]->indexes.count(path) != 0 &&
+        engine::OrderedIndex::exact(condition)) {
+      // Every shard mirrors the index set, and exact() implies estimate()
+      // serves the condition.
       for (const auto& sp : shards_) {
-        const Json* c = nullptr;
-        const auto* idx = exact_index(*sp, query, &c);
-        n += idx->exact_count(*c);
+        if (n >= limit) break;
+        n += *sp->indexes.at(path).estimate(condition, limit - n);
       }
       return n;
     }
   }
-  std::size_t n = 0;
-  for (const auto& sp : shards_) {
-    const Shard& s = *sp;
-    const auto plan = query::plan_shard(s.indexes, cq);
-    if (plan.index_scan) {
-      for (const std::int64_t id : plan.candidates) {
-        const Json* d = doc_by_id(s, id);
-        if (d && cq.eval(*d)) ++n;
-      }
-    } else {
-      for (const auto& [id, p] : s.id_pos) {
-        (void)id;
-        if (cq.eval(s.docs[p])) ++n;
-      }
-    }
-  }
+  scan(cq, [&](const Json&) { return ++n < limit; });
   return n;
-}
-
-bool Collection::exists(const Json& query) const {
-  const auto cq = query::CompiledQuery::compile(query);
-  const auto locks = lock_shared_all(shards_);
-  {
-    const Json* cond = nullptr;
-    if (exact_index(*shards_[0], query, &cond) != nullptr) {
-      for (const auto& sp : shards_) {
-        const Json* c = nullptr;
-        const auto* idx = exact_index(*sp, query, &c);
-        if (idx->exact_exists(*c)) return true;
-      }
-      return false;
-    }
-  }
-  for (const auto& sp : shards_) {
-    const Shard& s = *sp;
-    const auto plan = query::plan_shard(s.indexes, cq);
-    if (plan.index_scan) {
-      for (const std::int64_t id : plan.candidates) {
-        const Json* d = doc_by_id(s, id);
-        if (d && cq.eval(*d)) return true;
-      }
-    } else {
-      for (const auto& [id, p] : s.id_pos) {
-        (void)id;
-        if (cq.eval(s.docs[p])) return true;
-      }
-    }
-  }
-  return false;
 }
 
 std::size_t Collection::remove(const Json& query) {
-  // Compiling first both hoists the per-document interpretation out of the
-  // shard loop and validates the query BEFORE it is WAL-logged: a malformed
+  // Compiling validates the query BEFORE it is WAL-logged: a malformed
   // query used to be logged, then throw during apply, and recovery would
   // re-throw replaying it — refusing to open the store.
-  const auto cq = query::CompiledQuery::compile(query);
-  if (shard_count() == 1) {
-    Shard& s = *shards_[0];
-    std::size_t n = 0;
-    {
-      std::unique_lock lock(s.mu);
-      if (engine_) {
-        Json op = Json::object();
-        op["o"] = "r";
-        op["q"] = query;
-        engine_->log_op(*this, 0, op);
-      }
-      n = remove_shard_locked(s, cq);
-    }
-    if (engine_) engine_->maybe_checkpoint(*this, 0);
-    return n;
-  }
-  // A query can match documents on any shard, so at N > 1 a remove is a
-  // logical commit across all of them — recovery applies it everywhere or
-  // nowhere, never on a subset of shards.
+  (void)query::CompiledQuery::compile(query);
   Json op = Json::object();
   op["o"] = "r";
   op["q"] = query;
-  std::map<std::size_t, Json> ops;
-  for (std::size_t k = 0; k < shard_count(); ++k) ops.emplace(k, op);
-  std::size_t n = 0;
-  commit_multi(ops, [&] {
-    for (std::size_t k = 0; k < shard_count(); ++k)
-      n += remove_shard_locked(*shards_[k], cq);
-  });
-  return n;
+  return commit(engine_, on_every_shard(op)).applied;
 }
 
 std::size_t Collection::remove_shard_locked(Shard& s,
@@ -596,37 +411,12 @@ std::size_t Collection::remove_shard_locked(Shard& s,
 std::size_t Collection::update(const Json& query, const Json& update) {
   if (!update.is_object())
     throw json::JsonError("Collection::update: update must be an object");
-  // Compile (= validate) before WAL-logging, as in remove().
-  const auto cq = query::CompiledQuery::compile(query);
-  if (shard_count() == 1) {
-    Shard& s = *shards_[0];
-    std::size_t n = 0;
-    {
-      std::unique_lock lock(s.mu);
-      if (engine_) {
-        Json op = Json::object();
-        op["o"] = "u";
-        op["q"] = query;
-        op["u"] = update;
-        engine_->log_op(*this, 0, op);
-      }
-      n = update_shard_locked(s, cq, update);
-    }
-    if (engine_) engine_->maybe_checkpoint(*this, 0);
-    return n;
-  }
+  (void)query::CompiledQuery::compile(query);  // validate before logging
   Json op = Json::object();
   op["o"] = "u";
   op["q"] = query;
   op["u"] = update;
-  std::map<std::size_t, Json> ops;
-  for (std::size_t k = 0; k < shard_count(); ++k) ops.emplace(k, op);
-  std::size_t n = 0;
-  commit_multi(ops, [&] {
-    for (std::size_t k = 0; k < shard_count(); ++k)
-      n += update_shard_locked(*shards_[k], cq, update);
-  });
-  return n;
+  return commit(engine_, on_every_shard(op)).applied;
 }
 
 std::size_t Collection::update_shard_locked(Shard& s,
@@ -676,25 +466,9 @@ std::vector<std::string> Collection::index_paths() const {
 }
 
 void Collection::for_each(const std::function<bool(const Json&)>& fn) const {
+  const auto cq = query::CompiledQuery::compile(Json::object());
   const auto locks = lock_shared_all(shards_);
-  // K-way merge over the per-shard id maps: ids are globally unique and
-  // monotone, so picking the smallest head each step IS insertion order.
-  struct Cursor {
-    std::map<std::int64_t, std::size_t>::const_iterator it, end;
-    const Shard* s;
-  };
-  std::vector<Cursor> cur;
-  cur.reserve(shards_.size());
-  for (const auto& sp : shards_)
-    cur.push_back({sp->id_pos.begin(), sp->id_pos.end(), sp.get()});
-  while (true) {
-    Cursor* best = nullptr;
-    for (auto& c : cur)
-      if (c.it != c.end && (!best || c.it->first < best->it->first)) best = &c;
-    if (!best) return;
-    if (!fn(best->s->docs[best->it->second])) return;
-    ++best->it;
-  }
+  scan(cq, fn);
 }
 
 std::vector<Json> Collection::all() const {
@@ -752,26 +526,6 @@ void Collection::restore_shard(std::size_t shard, const Json& j) {
     s.docs.push_back(d);
   }
   rebuild_shard_derived(s);
-}
-
-void Collection::replay_shard_op(std::size_t shard, const Json& op) {
-  Shard& s = *shards_[shard];
-  const std::string& kind = op.at("o").as_string();
-  if (kind == "i") {
-    insert_into_shard(s, op.at("d"));
-  } else if (kind == "b") {
-    // One frame (or one commit member) = this shard's slice of the batch,
-    // applied whole (batch crash atomicity).
-    for (const auto& d : op.at("ds").as_array()) insert_into_shard(s, d);
-  } else if (kind == "u") {
-    update_shard_locked(s, query::CompiledQuery::compile(op.at("q")),
-                        op.at("u"));
-  } else if (kind == "r") {
-    remove_shard_locked(s, query::CompiledQuery::compile(op.at("q")));
-  } else {
-    throw std::runtime_error("wal replay: unknown op '" + kind +
-                             "' in collection " + name_);
-  }
 }
 
 Json Collection::shard_to_json(std::size_t shard) const {
@@ -846,84 +600,18 @@ std::vector<std::string> DocumentStore::collection_names() const {
 
 DocumentStore::AtomicInsert DocumentStore::insert_atomic(
     std::map<std::string, std::vector<Json>> docs) {
-  AtomicInsert out;
   for (const auto& [name, ds] : docs) {
     (void)name;
-    for (const auto& d : ds)
-      if (!d.is_object())
-        throw json::JsonError(
-            "DocumentStore::insert_atomic: every document must be an object");
+    require_objects(ds, "DocumentStore::insert_atomic");
   }
-
   // Resolve targets first: collection() may create entries, which must not
   // happen while shard locks are held.
-  struct Member {
-    Collection* c = nullptr;
-    std::size_t shard = 0;
-    std::vector<Json> docs;
-  };
-  std::vector<Member> members;  // (collection name asc, shard asc) — the
-                                // engine lock order for cross-shard commits
-  for (auto& [name, ds] : docs) {
-    if (ds.empty()) continue;
-    Collection& c = collection(name);
-    const std::int64_t base =
-        c.next_id_.fetch_add(static_cast<std::int64_t>(ds.size()));
-    auto& ids = out.ids[name];
-    ids.reserve(ds.size());
-    std::map<std::size_t, std::vector<Json>> by_shard;
-    for (std::size_t i = 0; i < ds.size(); ++i) {
-      const std::int64_t id = base + static_cast<std::int64_t>(i);
-      ds[i]["_id"] = id;
-      ids.push_back(id);
-      by_shard[c.shard_of(id)].push_back(std::move(ds[i]));
-    }
-    for (auto& [k, slice] : by_shard) {
-      Member m;
-      m.c = &c;
-      m.shard = k;
-      m.docs = std::move(slice);
-      members.push_back(std::move(m));
-    }
-  }
-  if (members.empty()) return out;
-
-  const auto apply = [&] {
-    for (auto& m : members)
-      for (auto& d : m.docs)
-        m.c->insert_into_shard(*m.c->shards_[m.shard], std::move(d));
-  };
-
-  if (!engine_) {
-    std::vector<std::unique_lock<std::shared_mutex>> locks;
-    locks.reserve(members.size());
-    for (const auto& m : members) locks.emplace_back(m.c->shards_[m.shard]->mu);
-    apply();
-    return out;
-  }
-
-  {
-    std::shared_lock gate(engine_->commit_gate());
-    std::vector<std::unique_lock<std::shared_mutex>> locks;
-    locks.reserve(members.size());
-    for (const auto& m : members) locks.emplace_back(m.c->shards_[m.shard]->mu);
-    std::vector<engine::StorageEngine::CommitMember> cms;
-    cms.reserve(members.size());
-    for (const auto& m : members) {
-      Json batch = Json::array();
-      for (const auto& d : m.docs) batch.as_array().push_back(d);
-      Json op = Json::object();
-      op["o"] = "b";
-      op["ds"] = std::move(batch);
-      cms.push_back({m.c, m.shard, std::move(op)});
-    }
-    out.ticket = engine_->log_commit(cms);  // write-ahead: log before apply
-    apply();
-  }
-  // Shard locks and the commit gate are released: checkpoints (snapshot
-  // I/O) run without extending the commit's critical section.
-  for (const auto& m : members) engine_->maybe_checkpoint(*m.c, m.shard);
-  engine_->maybe_compact_commits();
+  AtomicInsert out;
+  std::vector<Collection::Member> members;
+  for (auto& [name, ds] : docs)
+    if (!ds.empty())
+      out.ids[name] = collection(name).stage_batch(std::move(ds), members);
+  out.ticket = Collection::commit(engine_.get(), std::move(members)).ticket;
   return out;
 }
 

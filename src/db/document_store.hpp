@@ -20,11 +20,15 @@
 // never contend. The split is invisible at this API: queries fan out under
 // every shard's reader lock and merge by id, which IS insertion order
 // (ids are assigned from one monotone counter), so results are
-// byte-identical to the unsharded store. Mutations that span shards (a
-// batch insert whose documents hash apart, update/remove at N > 1) are
-// logged as one logical commit record and applied under every affected
-// shard's writer lock — readers and crash recovery observe none or all of
-// such a mutation.
+// byte-identical to the unsharded store.
+//
+// Every mutation — insert, insert_batch, update, remove, and
+// DocumentStore::insert_atomic across collections — goes through one
+// commit routine as a set of (collection, shard, op) members, applied under
+// every member shard's writer lock. That routine alone decides how the
+// mutation reaches the WAL: one member is its shard's own WAL frame, several
+// are one logical commit record (engine.hpp) — readers and crash recovery
+// observe none or all of such a mutation.
 //
 // A default-constructed store lives in memory only. open_durable() is the
 // one way a store is read from or written to a directory: the storage
@@ -45,8 +49,10 @@
 // update/remove lower the filter once into a flat program over pre-split
 // paths, then a selectivity-aware planner (query::plan_shard) ranks every
 // usable index by estimated candidate count, materializes the narrowest
-// and intersects further id lists while profitable. explain() reports the
-// chosen plan.
+// and intersects further id lists while profitable. One scan runs the
+// plans of all shards and visits the matches in insertion order, stopping
+// as soon as the caller has what it needs. explain() reports the chosen
+// plan.
 #pragma once
 
 #include <atomic>
@@ -68,13 +74,6 @@
 namespace gptc::db {
 
 using json::Json;
-
-/// Evaluates a Mongo-style match expression against a document. This is the
-/// reference interpreter: the collection read/write paths run compiled
-/// programs (query::CompiledQuery) instead, and the differential test in
-/// tests/test_query_compile.cpp holds the two to identical verdicts.
-/// Exposed for reuse (the crowd layer post-filters nested arrays with it).
-bool matches(const Json& document, const Json& query);
 
 /// Looks up a dot-separated path ("a.b.c") in a document. Purely numeric
 /// segments index into arrays ("grid.0" is grid[0]). Returns nullptr if any
@@ -211,9 +210,6 @@ class Collection {
   /// docs are that shard's subset); folds next_id forward.
   // guard-ok: single-threaded recovery path
   void restore_shard(std::size_t shard, const Json& j);
-  /// Applies one WAL op payload to one shard during replay (no logging).
-  // guard-ok: single-threaded recovery replay
-  void replay_shard_op(std::size_t shard, const Json& op);
   /// to_json() restricted to one shard (snapshot payload). Caller holds
   /// the shard lock or has exclusive use.
   // requires_lock: Shard::mu shared
@@ -234,23 +230,46 @@ class Collection {
   static void unindex_doc(Shard& s, const Json& doc);  // requires_lock: Shard::mu
   // guard-ok: single-threaded recovery/migration rebuild
   void rebuild_shard_derived(Shard& s);
+
+  /// The one plan-and-scan loop behind every read: plans each shard for
+  /// `cq` and visits the matches across shards in ascending id (=
+  /// insertion) order until `visit` returns false.
   // requires_lock: Shard::mu shared
-  static const Json* doc_by_id(const Shard& s, std::int64_t id);
-  /// The single {path: condition} entry an index answers exactly for
-  /// count()/exists(), or nullptr.
-  // requires_lock: Shard::mu shared
-  const engine::OrderedIndex* exact_index(const Shard& s,
-                                          const Json& query,
-                                          const Json** condition) const;
-  /// Merges per-shard result vectors (each in ascending-id order) into
-  /// global insertion order.
-  static std::vector<Json> merge_by_id(std::vector<std::vector<Json>> parts);
-  /// Routes an already-built per-shard op set through the engine's logical
-  /// commit record (durable) and applies it; `apply` runs under all
-  /// affected shard writer locks.
-  engine::CommitTicket commit_multi(
-      const std::map<std::size_t, Json>& ops_by_shard,
-      const std::function<void()>& apply);
+  void scan(const query::CompiledQuery& cq,
+            const std::function<bool(const Json&)>& visit) const;
+  /// count() and exists(): matches counted until `limit` is reached,
+  /// index-only when the query is one exactly-served indexed condition.
+  std::size_t count_upto(const Json& query, std::size_t limit) const;
+
+  // --- writes: every mutation is a set of (collection, shard, op) members
+  // handed to commit(); ops use the shard-WAL payload shapes (engine.hpp).
+  using Member = engine::StorageEngine::CommitMember;
+  struct Committed {
+    engine::CommitTicket ticket;  // the durability ack's handle
+    std::size_t applied = 0;      // documents the ops inserted/changed/removed
+  };
+  /// Assigns ids to `documents` and appends one batch-insert member per
+  /// shard they land on; returns the ids in document order.
+  std::vector<std::int64_t> stage_batch(std::vector<Json> documents,
+                                        std::vector<Member>& members);
+  /// One member per shard carrying `op` (update/remove: a query can match
+  /// documents on any shard).
+  std::vector<Member> on_every_shard(const Json& op);
+  /// The one commit routine. Under every member shard's writer lock (taken
+  /// in collection-name, then shard order) it WAL-logs the members and then
+  /// applies them: a single member is its shard's own WAL frame, written
+  /// without the commit gate; several are ONE commit-WAL record written
+  /// under the gate held shared. Without an engine (in-memory store) it
+  /// only locks and applies. Checkpoints, and for a commit record the
+  /// commit-WAL compaction, run after the locks are released.
+  static Committed commit(engine::StorageEngine* engine,
+                          std::vector<Member> members);
+  /// Applies one op payload to one shard: the commit routine's apply step
+  /// (under the shard's writer lock) and recovery's replay step (single-
+  /// threaded, before the store is shared) alike, so what is applied is
+  /// exactly what was logged. Returns the number of documents it touched.
+  // requires_lock: Shard::mu
+  std::size_t apply_op(std::size_t shard, Json op);
 
   std::string name_;  // guard-ok: immutable after construction
   std::atomic<std::int64_t> next_id_{1};
@@ -285,11 +304,12 @@ class DocumentStore {
 
   /// Inserts documents into SEVERAL collections as one logical commit —
   /// the paper's crowd upload writes problem, machine, and run records
-  /// that must land whole-or-nothing. In durable mode every member is
-  /// covered by ONE engine commit-WAL record, so crash recovery yields
-  /// all of them or none; in-memory visibility is all-or-nothing per
-  /// collection (each collection's members apply under all of its shard
-  /// writer locks). Throws before any mutation on a non-object document.
+  /// that must land whole-or-nothing. In durable mode the members are ONE
+  /// WAL record (a commit-WAL record, or the shard's batch frame when every
+  /// document lands on one shard), so crash recovery yields all of them or
+  /// none; they apply under every member shard's writer lock at once, so
+  /// no read sees a collection's share half-applied. Throws before any
+  /// mutation on a non-object document.
   AtomicInsert insert_atomic(std::map<std::string, std::vector<Json>> docs);
 
   /// Opens a directory with the storage engine: replays snapshots + shard

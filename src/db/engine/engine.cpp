@@ -314,7 +314,7 @@ void StorageEngine::recover(DocumentStore& store) {
       // in the snapshot (crash between rename and WAL truncation).
       if (seq <= last_seq) return;
       try {
-        t.c->replay_shard_op(t.shard, payload);
+        t.c->apply_op(t.shard, payload);
       } catch (const CrashInjected&) {
         throw;
       } catch (const std::exception& e) {
@@ -457,13 +457,13 @@ WalWriter* StorageEngine::find_wal(const std::string& key) const {
   return it == wals_.end() ? nullptr : it->second.wal.get();
 }
 
-std::uint64_t StorageEngine::log_op(Collection& c, std::size_t shard,
-                                    const Json& op) {
-  if (replaying_) return 0;
+CommitTicket StorageEngine::log_op(const Collection& c, std::size_t shard,
+                                   const Json& op) {
+  if (replaying_) return {};
   const std::string key = shard_stem(c.name(), shard, shard_count_);
   const std::uint64_t seq = wal_for(key).append(op);
   if (committer_) committer_->notify_logged(key, seq);
-  return seq;
+  return CommitTicket{key, seq};
 }
 
 CommitTicket StorageEngine::log_commit(

@@ -39,9 +39,14 @@
 //   {"o":"u","q":{...},"u":{...}}            update(query, fields)
 //   {"o":"r","q":{...}}                      remove(query)
 //
-// Logical cross-shard commits: a mutation spanning several shards or
-// collections (a multi-shard batch insert, an N>1 update/remove, a
-// DocumentStore::insert_atomic crowd upload touching problem + machine +
+// Every mutation reaches the WAL through one routine (Collection::commit)
+// as a set of (collection, shard, op) members, and the rule lives there
+// alone: a mutation that touches ONE shard is that shard's own frame above
+// (a single-shard insert, batch, update or remove, or an insert_atomic whose
+// documents all land on one shard), written without the commit gate — one
+// frame is replayed whole or not at all. A mutation that touches several
+// shards or collections (a multi-shard batch insert, an N>1 update/remove,
+// a DocumentStore::insert_atomic crowd upload touching problem + machine +
 // runs collections) is ONE frame in the engine commit WAL:
 //
 //   {"m":[{"c":<coll>,"s":<shard>,"q":<seq>,"op":{...}}, ...]}
@@ -170,14 +175,16 @@ class StorageEngine {
     return recovery_warnings_;
   }
 
-  /// Appends one op frame to shard `shard` of `c` and returns its WAL
-  /// sequence number (0 while replaying). Called by Collection mutators
-  /// under that shard's writer lock, before the op is applied in memory.
-  std::uint64_t log_op(Collection& c, std::size_t shard, const json::Json& op);
+  /// Appends one op frame to shard `shard` of `c` and returns its ticket:
+  /// the shard's WAL stem and the frame's sequence number (seq 0 while
+  /// replaying). Called by Collection's commit routine under that shard's
+  /// writer lock, before the op is applied in memory.
+  CommitTicket log_op(const Collection& c, std::size_t shard,
+                      const json::Json& op);
 
-  /// One member of a logical cross-shard commit.
+  /// One member of a commit: an op on one shard of one collection.
   struct CommitMember {
-    const Collection* collection = nullptr;
+    Collection* collection = nullptr;
     std::size_t shard = 0;
     json::Json op;
   };

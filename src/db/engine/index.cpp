@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <limits>
 
+#include "db/query/program.hpp"
+
 namespace gptc::db::engine {
 
 using json::Json;
@@ -55,16 +57,17 @@ IndexKey rank_min(IndexKey::Rank rank) {
   return key;
 }
 
-bool is_operator_object(const Json& j) {
-  if (!j.is_object() || j.as_object().empty()) return false;
-  for (const auto& [k, v] : j.as_object()) {
-    (void)v;
-    if (k.empty() || k[0] != '$') return false;
-  }
-  return true;
-}
-
 bool is_scalar(const Json& j) { return !j.is_array() && !j.is_object(); }
+
+/// Json equality compares two ints exactly, but an IndexKey holds the
+/// double, which merges neighbouring integers from 2^53 on: such an
+/// equality operand is served as a superset, never exactly.
+bool exact_as_key(const Json& operand) {
+  constexpr std::int64_t kExactDouble = std::int64_t{1} << 53;
+  if (!operand.is_int()) return true;
+  const std::int64_t v = operand.as_int();
+  return v > -kExactDouble && v < kExactDouble;
+}
 
 }  // namespace
 
@@ -88,38 +91,14 @@ void OrderedIndex::erase(const Json& doc, std::int64_t id) {
   if (it->second.empty()) postings_.erase(it);
 }
 
-void OrderedIndex::collect_equal(const IndexKey& key,
-                                 std::vector<std::int64_t>& out) const {
-  const auto it = postings_.find(key);
-  if (it == postings_.end()) return;
-  out.insert(out.end(), it->second.begin(), it->second.end());
-}
-
-void OrderedIndex::collect_range(IndexKey::Rank rank, const IndexKey* lo,
-                                 bool lo_open, const IndexKey* hi,
-                                 bool hi_open,
-                                 std::vector<std::int64_t>& out) const {
-  auto it = lo ? (lo_open ? postings_.upper_bound(*lo)
-                          : postings_.lower_bound(*lo))
-               : postings_.lower_bound(rank_min(rank));
-  for (; it != postings_.end(); ++it) {
-    const IndexKey& key = it->first;
-    if (key.rank != rank) break;
-    if (hi && (hi_open ? !(key < *hi) : *hi < key)) break;
-    out.insert(out.end(), it->second.begin(), it->second.end());
-  }
-}
-
-std::optional<std::vector<std::int64_t>> OrderedIndex::candidates(
-    const Json& condition) const {
-  std::vector<std::int64_t> out;
-
-  if (!is_operator_object(condition)) {
+std::optional<OrderedIndex::Selection> OrderedIndex::selection(
+    const Json& condition) {
+  Selection sel;
+  if (!query::is_operator_object(condition)) {
     if (!is_scalar(condition)) return std::nullopt;
-    const auto key = IndexKey::from_json(condition);
-    if (!key) return std::nullopt;
-    collect_equal(*key, out);
-    return out;
+    sel.keys.push_back(*IndexKey::from_json(condition));
+    sel.exact = exact_as_key(condition);
+    return sel;
   }
 
   const auto& ops = condition.as_object();
@@ -132,228 +111,105 @@ std::optional<std::vector<std::int64_t>> OrderedIndex::candidates(
 
   // All operators in one condition are conjunctive, so serving any single
   // one of them yields a superset of the true matches; the first usable op
-  // (deterministic: Json::Object is a sorted map) wins.
+  // (deterministic: Json::Object is a sorted map) wins, and the selection
+  // is exact only when it is the condition's one operator.
+  sel.exact = ops.size() == 1;
   for (const auto& [op, operand] : ops) {
     if (op == "$eq") {
       if (!is_scalar(operand)) continue;
-      const auto key = IndexKey::from_json(operand);
-      if (!key) continue;
-      collect_equal(*key, out);
-      return out;
+      sel.keys.push_back(*IndexKey::from_json(operand));
+      sel.exact = sel.exact && exact_as_key(operand);
+      return sel;
     }
     if (op == "$in") {
       if (!operand.is_array()) continue;
-      bool usable = true;
-      for (const auto& item : operand.as_array())
-        if (!is_scalar(item)) {
-          usable = false;
-          break;
-        }
-      if (!usable) continue;
-      for (const auto& item : operand.as_array()) {
-        const auto key = IndexKey::from_json(item);
-        if (key) collect_equal(*key, out);
+      const auto& items = operand.as_array();
+      if (!std::all_of(items.begin(), items.end(), is_scalar)) continue;
+      for (const auto& item : items) {
+        sel.keys.push_back(*IndexKey::from_json(item));
+        sel.exact = sel.exact && exact_as_key(item);
       }
-      std::sort(out.begin(), out.end());
-      // Duplicate operands ({"$in":[2,2.0]}) merge the same posting list
-      // twice; candidates must stay a set or find()/count() double-report.
-      out.erase(std::unique(out.begin(), out.end()), out.end());
-      return out;
+      // Numerically equal operands ([2, 2.0]) map to one key; selecting it
+      // once keeps the candidates a set and the estimate its cardinality.
+      std::sort(sel.keys.begin(), sel.keys.end());
+      sel.keys.erase(std::unique(sel.keys.begin(), sel.keys.end(),
+                                 [](const IndexKey& a, const IndexKey& b) {
+                                   return !(a < b) && !(b < a);
+                                 }),
+                     sel.keys.end());
+      return sel;
     }
     if (op == "$gt" || op == "$gte" || op == "$lt" || op == "$lte") {
       // Range operators only ever match same-class values (the match
-      // engine's compare_lt is false across types), and only number/string
-      // operands have straightforward semantics — anything else falls back.
+      // engine orders numbers by double value and strings, nothing across
+      // types), so only number/string operands are served.
       if (!operand.is_number() && !operand.is_string()) continue;
-      const auto bound = IndexKey::from_json(operand);
-      if (!bound) continue;
-      if (op == "$gt")
-        collect_range(bound->rank, &*bound, /*lo_open=*/true, nullptr, false,
-                      out);
-      else if (op == "$gte")
-        collect_range(bound->rank, &*bound, /*lo_open=*/false, nullptr, false,
-                      out);
-      else if (op == "$lt")
-        collect_range(bound->rank, nullptr, false, &*bound, /*hi_open=*/true,
-                      out);
-      else
-        collect_range(bound->rank, nullptr, false, &*bound, /*hi_open=*/false,
-                      out);
-      std::sort(out.begin(), out.end());
-      return out;
+      if (op == "$gt" || op == "$gte") {
+        sel.lo = IndexKey::from_json(operand);
+        sel.lo_open = op == "$gt";
+      } else {
+        sel.hi = IndexKey::from_json(operand);
+        sel.hi_open = op == "$lt";
+      }
+      return sel;
     }
     // $ne, $nin, $exists:true, ... — not index-servable, try the next op.
   }
   return std::nullopt;
 }
 
-std::optional<std::size_t> OrderedIndex::estimate(const Json& condition) const {
-  // Mirrors candidates() decision-for-decision: same usability tests, same
-  // first-usable-op selection, so the returned size is exactly the length
-  // of the id list candidates() would build (posting lists are disjoint
-  // across keys).
-  const auto equal_size = [&](const IndexKey& key) -> std::size_t {
-    const auto it = postings_.find(key);
-    return it == postings_.end() ? 0 : it->second.size();
-  };
-
-  if (!is_operator_object(condition)) {
-    if (!is_scalar(condition)) return std::nullopt;
-    const auto key = IndexKey::from_json(condition);
-    if (!key) return std::nullopt;
-    return equal_size(*key);
-  }
-
-  const auto& ops = condition.as_object();
-  const auto exists_it = ops.find("$exists");
-  if (exists_it != ops.end() && exists_it->second.is_bool() &&
-      !exists_it->second.as_bool())
-    return std::nullopt;
-
-  for (const auto& [op, operand] : ops) {
-    if (op == "$eq") {
-      if (!is_scalar(operand)) continue;
-      const auto key = IndexKey::from_json(operand);
-      if (!key) continue;
-      return equal_size(*key);
-    }
-    if (op == "$in") {
-      if (!operand.is_array()) continue;
-      bool usable = true;
-      for (const auto& item : operand.as_array())
-        if (!is_scalar(item)) {
-          usable = false;
-          break;
-        }
-      if (!usable) continue;
-      // Distinct keys only, like candidates()'s sort+unique over ids:
-      // [2, 2.0] selects one posting list, not the same list twice.
-      std::vector<IndexKey> keys;
-      for (const auto& item : operand.as_array())
-        if (auto key = IndexKey::from_json(item))
-          keys.push_back(std::move(*key));
-      std::sort(keys.begin(), keys.end());
-      std::size_t n = 0;
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        if (i > 0 && !(keys[i - 1] < keys[i])) continue;
-        n += equal_size(keys[i]);
-      }
-      return n;
-    }
-    if (op == "$gt" || op == "$gte" || op == "$lt" || op == "$lte") {
-      if (!operand.is_number() && !operand.is_string()) continue;
-      const auto bound = IndexKey::from_json(operand);
-      if (!bound) continue;
-      auto it = (op == "$gt")    ? postings_.upper_bound(*bound)
-                : (op == "$gte") ? postings_.lower_bound(*bound)
-                                 : postings_.lower_bound(rank_min(bound->rank));
-      std::size_t n = 0;
-      for (; it != postings_.end(); ++it) {
-        const IndexKey& key = it->first;
-        if (key.rank != bound->rank) break;
-        if (op == "$lt" && !(key < *bound)) break;
-        if (op == "$lte" && *bound < key) break;
-        n += it->second.size();
-      }
-      return n;
-    }
-  }
-  return std::nullopt;
-}
-
-namespace {
-
-/// Shared walk for exact_count / exact_exists: visits every posting list
-/// the condition selects. `visit` returns true to keep walking, false to
-/// stop early (exists probes).
-template <typename Postings, typename Visit>
-void walk_exact(const Postings& postings, const Json& condition,
-                const Visit& visit) {
-  const auto visit_equal = [&](const IndexKey& key) {
-    const auto it = postings.find(key);
-    return it == postings.end() || visit(it->second);
-  };
-
-  if (!is_operator_object(condition)) {
-    const auto key = IndexKey::from_json(condition);
-    if (key) visit_equal(*key);
-    return;
-  }
-  const auto& [op, operand] = *condition.as_object().begin();
-  if (op == "$eq") {
-    const auto key = IndexKey::from_json(operand);
-    if (key) visit_equal(*key);
-    return;
-  }
-  if (op == "$in") {
-    // Numerically equal operands ([2, 2.0]) map to one IndexKey; visiting
-    // each distinct key once keeps the count a set cardinality, exactly
-    // like candidates()'s sort+unique.
-    std::vector<IndexKey> keys;
-    for (const auto& item : operand.as_array())
-      if (auto key = IndexKey::from_json(item)) keys.push_back(std::move(*key));
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (i > 0 && !(keys[i - 1] < keys[i])) continue;  // duplicate key
-      if (!visit_equal(keys[i])) return;
+template <typename Visit>
+void OrderedIndex::walk(const Selection& sel, const Visit& visit) const {
+  if (!sel.lo && !sel.hi) {
+    for (const IndexKey& key : sel.keys) {
+      const auto it = postings_.find(key);
+      if (it != postings_.end() && !visit(it->second)) return;
     }
     return;
   }
-  const auto bound = IndexKey::from_json(operand);
-  if (!bound) return;
-  auto it = (op == "$gt")    ? postings.upper_bound(*bound)
-            : (op == "$gte") ? postings.lower_bound(*bound)
-                             : postings.lower_bound(rank_min(bound->rank));
-  for (; it != postings.end(); ++it) {
+  const IndexKey& bound = sel.lo ? *sel.lo : *sel.hi;
+  auto it = !sel.lo       ? postings_.lower_bound(rank_min(bound.rank))
+            : sel.lo_open ? postings_.upper_bound(*sel.lo)
+                          : postings_.lower_bound(*sel.lo);
+  for (; it != postings_.end(); ++it) {
     const IndexKey& key = it->first;
-    if (key.rank != bound->rank) break;
-    if (op == "$lt" && !(key < *bound)) break;
-    if (op == "$lte" && *bound < key) break;
+    if (key.rank != bound.rank) return;
+    if (sel.hi && (sel.hi_open ? !(key < *sel.hi) : *sel.hi < key)) return;
     if (!visit(it->second)) return;
   }
 }
 
-}  // namespace
-
-bool OrderedIndex::exact(const Json& condition) {
-  if (!is_operator_object(condition))
-    return is_scalar(condition) && IndexKey::from_json(condition).has_value();
-  const auto& ops = condition.as_object();
-  // Operators are conjunctive and candidates() only ever serves one of
-  // them, so exactness requires the condition to BE one operator.
-  if (ops.size() != 1) return false;
-  const auto& [op, operand] = *ops.begin();
-  if (op == "$eq")
-    return is_scalar(operand) && IndexKey::from_json(operand).has_value();
-  if (op == "$in") {
-    if (!operand.is_array()) return false;
-    for (const auto& item : operand.as_array())
-      if (!is_scalar(item)) return false;
+std::optional<std::vector<std::int64_t>> OrderedIndex::candidates(
+    const Json& condition) const {
+  const auto sel = selection(condition);
+  if (!sel) return std::nullopt;
+  std::vector<std::int64_t> out;
+  std::size_t lists = 0;
+  walk(*sel, [&](const std::vector<std::int64_t>& ids) {
+    out.insert(out.end(), ids.begin(), ids.end());
+    ++lists;
     return true;
-  }
-  if (op == "$gt" || op == "$gte" || op == "$lt" || op == "$lte")
-    // Same restriction as candidates(): ordering across types is false in
-    // the match engine, and only number/string operands order usefully.
-    return operand.is_number() || operand.is_string();
-  return false;
+  });
+  // Each posting list ascends on its own; only several need a merge.
+  if (lists > 1) std::sort(out.begin(), out.end());
+  return out;
 }
 
-std::size_t OrderedIndex::exact_count(const Json& condition) const {
+std::optional<std::size_t> OrderedIndex::estimate(const Json& condition,
+                                                  std::size_t at_most) const {
+  const auto sel = selection(condition);
+  if (!sel) return std::nullopt;
   std::size_t n = 0;
-  walk_exact(postings_, condition, [&](const std::vector<std::int64_t>& ids) {
+  walk(*sel, [&](const std::vector<std::int64_t>& ids) {
     n += ids.size();
-    return true;
+    return n < at_most;
   });
   return n;
 }
 
-bool OrderedIndex::exact_exists(const Json& condition) const {
-  bool found = false;
-  walk_exact(postings_, condition, [&](const std::vector<std::int64_t>& ids) {
-    found = found || !ids.empty();
-    return !found;
-  });
-  return found;
+bool OrderedIndex::exact(const Json& condition) {
+  const auto sel = selection(condition);
+  return sel && sel->exact;
 }
 
 }  // namespace gptc::db::engine

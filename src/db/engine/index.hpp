@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -67,41 +68,50 @@ class OrderedIndex {
   std::optional<std::vector<std::int64_t>> candidates(
       const json::Json& condition) const;
 
-  /// Number of ids candidates(condition) would return, computed from the
-  /// posting-list bounds without materializing the id vector. nullopt
-  /// exactly when candidates() would be nullopt, so the planner can rank
-  /// every usable index by selectivity and materialize only the winners.
-  /// (Posting lists are disjoint across keys — one scalar per document per
-  /// path — so summing selected list sizes IS the candidate count; only
-  /// duplicate $in operands need the same key-dedup candidates() applies.)
-  std::optional<std::size_t> estimate(const json::Json& condition) const;
+  /// Number of ids candidates(condition) would return, summed from the
+  /// posting-list sizes without materializing the id vector; nullopt
+  /// exactly when candidates() is (both run the same walk), so the planner
+  /// can rank every usable index by selectivity and materialize only the
+  /// winners. Posting lists are disjoint across keys — one scalar per
+  /// document per path — so the sum IS the candidate count. The walk stops
+  /// once the sum reaches `at_most` (the result is then >= at_most): an
+  /// existence probe passes 1 and reads a single posting list.
+  std::optional<std::size_t> estimate(
+      const json::Json& condition,
+      std::size_t at_most = std::numeric_limits<std::size_t>::max()) const;
 
   /// True when the index serves `condition` EXACTLY — the posting lists are
-  /// the match set, not merely a superset — so count()/exists() may consult
-  /// the index alone, never materializing (or even re-matching) a document.
-  /// Holds for a bare scalar, a single {$eq: scalar}, a single {$in:
-  /// [scalars]}, or a single range operator with a number/string operand:
-  /// in each case the match engine's semantics (cross-type numeric
+  /// the match set, not merely a superset — so count()/exists() may read
+  /// estimate() alone, never materializing (or even re-matching) a
+  /// document. Holds for a bare scalar, a single {$eq: scalar}, a single
+  /// {$in: [scalars]}, or a single range operator with a number/string
+  /// operand: in each case the match engine's semantics (cross-type numeric
   /// equality, same-class-only ordering) coincide with IndexKey's, and
   /// documents absent from the index (missing path, array/object value)
-  /// cannot match. Conditions with several operators are only ever served
-  /// as a superset (candidates() picks one op), so they are not exact.
+  /// cannot match. Not exact: conditions with several operators (only one
+  /// is ever served), and equality against an integer of magnitude >= 2^53
+  /// — IndexKey holds numbers as doubles, which merge neighbouring large
+  /// integers that the match engine tells apart.
   static bool exact(const json::Json& condition);
 
-  /// Index-only match count for an exact() condition. Sums posting-list
-  /// sizes without building an id vector; $in dedupes numerically equal
-  /// operands ([2, 2.0]) the same way candidates() does.
-  std::size_t exact_count(const json::Json& condition) const;
-
-  /// Index-only existence probe for an exact() condition; stops at the
-  /// first non-empty posting list.
-  bool exact_exists(const json::Json& condition) const;
-
  private:
-  void collect_equal(const IndexKey& key, std::vector<std::int64_t>& out) const;
-  void collect_range(IndexKey::Rank rank, const IndexKey* lo, bool lo_open,
-                     const IndexKey* hi, bool hi_open,
-                     std::vector<std::int64_t>& out) const;
+  /// The posting lists one condition selects: the single place the
+  /// condition rules live (operator object vs scalar, the $exists:false
+  /// refusal, first usable operator, $in key dedupe, range bounds).
+  struct Selection {
+    std::vector<IndexKey> keys;  // equality: distinct keys, ascending
+    // A range when either bound is set: the keys of the bound's rank
+    // within it.
+    std::optional<IndexKey> lo, hi;
+    bool lo_open = false, hi_open = false;
+    bool exact = false;  // see exact()
+  };
+  /// nullopt when the index cannot serve the condition.
+  static std::optional<Selection> selection(const json::Json& condition);
+  /// Visits the selected posting lists in key order until `visit` returns
+  /// false.
+  template <typename Visit>
+  void walk(const Selection& sel, const Visit& visit) const;
 
   query::PathRef path_;
   std::map<IndexKey, std::vector<std::int64_t>> postings_;

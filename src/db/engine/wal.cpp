@@ -153,6 +153,10 @@ WalWriter::~WalWriter() {
 
 std::uint64_t WalWriter::append(const json::Json& payload) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (broken_)
+    throw std::runtime_error("wal: " + path_.string() +
+                             " refuses appends: a failed append could not be "
+                             "rolled back");
   const std::uint64_t seq = next_seq_;
   const std::string seq_hex = hex64(seq);
   const std::string text = payload.dump();  // serialized once per record
@@ -172,7 +176,18 @@ std::uint64_t WalWriter::append(const json::Json& payload) {
                         ")");
   }
 
-  write_all(fd_, frame.data(), frame.size(), path_);
+  try {
+    write_all(fd_, frame.data(), frame.size(), path_);
+  } catch (...) {
+    // Part of the frame may be in the file. Left there, the next frame
+    // would land on the same line and replay would drop both as a torn
+    // tail — losing an acknowledged write. Cut back to the last frame
+    // boundary; if even that fails, no later frame may follow.
+    if (::ftruncate(fd_, static_cast<off_t>(bytes_)) != 0 ||
+        ::lseek(fd_, static_cast<off_t>(bytes_), SEEK_SET) < 0)
+      broken_ = true;
+    throw;
+  }
   bytes_ += frame.size();
   ++next_seq_;
   if (++pending_ >= group_commit_) sync_locked();

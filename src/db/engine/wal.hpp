@@ -79,6 +79,9 @@ class WalWriter {
 
   /// Appends one frame; returns its sequence number. Throws CrashInjected
   /// at an armed fault point and std::runtime_error on real I/O failure.
+  /// A failed write leaves the log as it was before the call (truncated
+  /// back to the last frame boundary); when that truncation fails too, the
+  /// writer refuses every later append.
   std::uint64_t append(const json::Json& payload);
 
   /// Claims the next sequence number WITHOUT writing a frame. Used by
@@ -126,6 +129,7 @@ class WalWriter {
   std::uint64_t bytes_ = 0;      // guarded_by: mu_
   std::uint64_t synced_bytes_ = 0;  // guarded_by: mu_
   std::size_t pending_ = 0;      // guarded_by: mu_
+  bool broken_ = false;          // guarded_by: mu_
   int fd_ = -1;                  // guarded_by: mu_
   // guard-ok: not owned, may be nullptr; set once before any thread starts
   FaultInjector* fault_;

@@ -41,8 +41,8 @@ ShardPlan plan_shard(
                      return *a.path < *b.path;
                    });
 
-  // estimate() is non-null exactly when candidates() is, so these derefs
-  // cannot fail.
+  // estimate() and candidates() run one index walk, so a usable estimate
+  // means usable candidates: these derefs hold by construction.
   IndexChoice& first = plan.choices.front();
   plan.candidates =
       *indexes.find(*first.path)->second.candidates(*first.condition);

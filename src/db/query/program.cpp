@@ -7,11 +7,6 @@ namespace gptc::db::query {
 using json::Json;
 using json::JsonError;
 
-namespace {
-
-/// Same shape test as the match engine: a non-empty object whose keys all
-/// start with '$' is an operator object; anything else (including {} and
-/// mixed-key objects) is a bare equality operand.
 bool is_operator_object(const Json& j) {
   if (!j.is_object() || j.as_object().empty()) return false;
   for (const auto& [k, v] : j.as_object()) {
@@ -20,6 +15,8 @@ bool is_operator_object(const Json& j) {
   }
   return true;
 }
+
+namespace {
 
 bool in_list(const Json& value, const Json& list) {
   for (const auto& item : list.as_array())

@@ -1,16 +1,17 @@
 // Compiled Mongo-style match expressions.
 //
-// db::matches() re-interprets the query tree for every record: each field
-// re-splits its dot path, each operator is re-dispatched by string key, and
-// get_or/substr allocate along the way. At N candidate records per query
-// that interpretation dominates the read path (EXPERIMENTS "Server
-// throughput"). CompiledQuery lowers the query ONCE into a flat program —
+// Interpreting the query tree for every record re-splits each field's dot
+// path, re-dispatches each operator by string key, and allocates along the
+// way; at N candidate records per query that interpretation dominated the
+// read path (EXPERIMENTS "Server throughput"). CompiledQuery lowers the
+// query ONCE into a flat program —
 // prefix-ordered logic nodes over interned, pre-split paths and typed
 // comparison opcodes with pre-extracted operands — whose evaluation does no
 // parsing and no allocation per record.
 //
-// Contract: eval(doc) returns exactly what db::matches(doc, query) returns
-// for every document (the differential test in tests/test_query_compile.cpp
+// Contract: eval(doc) returns exactly what the reference interpreter
+// matches(doc, query) in tests/support/reference_matcher.hpp returns for
+// every document (the differential test in tests/test_query_compile.cpp
 // drives randomized documents and queries through both). The one deliberate
 // difference is *when* malformed queries throw: matches() throws JsonError
 // lazily, on the first record that reaches the bad operator, while
@@ -27,6 +28,12 @@
 #include "json/json.hpp"
 
 namespace gptc::db::query {
+
+/// The one shape test for a field condition: a non-empty object whose keys
+/// all start with '$' is an operator object; anything else (including {}
+/// and mixed-key objects) is a bare equality operand. Shared by the
+/// compiler and the index.
+bool is_operator_object(const json::Json& j);
 
 class CompiledQuery {
  public:

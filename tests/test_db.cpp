@@ -150,6 +150,7 @@ class CountExistsParity : public ::testing::Test {
   CountExistsParity() : indexed_("i"), plain_("p") {
     indexed_.create_index("k");
     indexed_.create_index("s");
+    indexed_.create_index("p");
     for (int i = 0; i < 20; ++i) {
       Json d = Json::object();
       d["k"] = static_cast<std::int64_t>(i % 5);
@@ -158,6 +159,13 @@ class CountExistsParity : public ::testing::Test {
       Json d2 = d;
       indexed_.insert(std::move(d));
       plain_.insert(std::move(d2));
+    }
+    // Integers from 2^53 on that one double (the index key) cannot tell
+    // apart, though Json equality does.
+    for (const char* big : {R"({"p":9007199254740992})",
+                            R"({"p":9007199254740993})"}) {
+      indexed_.insert(doc(big));
+      plain_.insert(doc(big));
     }
   }
 
@@ -186,6 +194,14 @@ TEST_F(CountExistsParity, ExactlyIndexServableQueries) {
   check(R"({"k":{"$in":[1,3,99]}})");
   check(R"({"k":{"$in":[]}})");
   check(R"({"s":"s1"})");
+  // Equality against an integer >= 2^53 is served as a superset, not
+  // exactly: the two "p" documents share one index key.
+  check(R"({"p":9007199254740993})");
+  check(R"({"p":{"$eq":9007199254740993}})");
+  check(R"({"p":{"$in":[9007199254740993]}})");
+  check(R"({"p":{"$in":[9007199254740992,9007199254740993]}})");
+  check(R"({"p":9007199254740992.0})");
+  check(R"({"p":{"$gte":9007199254740993}})");
 }
 
 TEST_F(CountExistsParity, FallbackQueries) {

@@ -8,8 +8,10 @@
 // the store yields query results bitwise-identical to an uninterrupted
 // run's committed prefix.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -583,6 +585,74 @@ TEST(DurableStore, TornTailIsReportedAsRecoveryWarning) {
   ASSERT_EQ(store.storage_engine()->recovery_warnings().size(), 1u);
   EXPECT_NE(store.storage_engine()->recovery_warnings()[0].find("samples"),
             std::string::npos);
+}
+
+/// Lowers this process's file-size limit (RLIMIT_FSIZE) with SIGXFSZ
+/// ignored, so a write crossing `bytes` stores what fits and then fails
+/// with EFBIG: a real short write the process survives. Restores both.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(std::uint64_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(bytes);
+    ok_ = ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+  bool ok() const { return ok_; }
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = nullptr;
+  bool ok_ = false;
+};
+
+TEST(DurableStore, FailedWalAppendLosesNoLaterAckedWrite) {
+  // An append that fails part-way through its frame must not leave the
+  // part in the log: the next frame would share its line, and replay would
+  // drop both as a torn tail (or refuse the log) — losing a write that was
+  // fsynced and acknowledged. The reopened store must hold exactly the
+  // acknowledged inserts.
+  TempDir dir("gptc_engine_write_error");
+  std::vector<std::int64_t> acked;
+  {
+    auto store = DocumentStore::open_durable(
+        dir.path(), test_options(nullptr, /*group_commit=*/1));
+    auto* eng = store.storage_engine();
+    auto& c = store.collection("samples");
+    const auto insert = [&](std::int64_t k) {
+      Json d = Json::object();
+      d["k"] = k;
+      c.insert(std::move(d));
+      acked.push_back(k);
+    };
+    insert(1);
+    // The next insert takes id 2; let 16 bytes of its frame reach its
+    // shard's WAL, then fail the write.
+    const std::string stem = engine::StorageEngine::shard_stem(
+        "samples", 2 % eng->shard_count(), eng->shard_count());
+    {
+      const FileSizeLimit limit(eng->wal_bytes(stem) + 16);
+      ASSERT_TRUE(limit.ok());
+      EXPECT_THROW(insert(2), std::runtime_error);
+    }
+    // Two rounds over every shard, so the failed WAL takes further frames.
+    for (std::size_t i = 0; i < 2 * eng->shard_count(); ++i)
+      insert(3 + static_cast<std::int64_t>(i));
+    EXPECT_EQ(c.size(), acked.size());
+  }
+  auto store = DocumentStore::open_durable(dir.path(), test_options());
+  EXPECT_TRUE(store.storage_engine()->recovery_warnings().empty());
+  std::vector<std::int64_t> recovered;
+  for (const Json& d : store.collection("samples").all())
+    recovered.push_back(d.at("k").as_int());
+  EXPECT_EQ(recovered, acked);
 }
 
 TEST(DurableStore, DocumentsAtTheParseDepthCapSurviveReopen) {
@@ -1224,6 +1294,35 @@ TEST(CrossShardCommit, ReserveAndAppendCrashesLeaveNothingApplied) {
     EXPECT_EQ(store.collection("runs").count(doc(R"({"k":1})")), 1u);
     EXPECT_EQ(store.collection("runs").count(doc(R"({"k":2})")), 1u);
   }
+}
+
+TEST(CrossShardCommit, SingleShardAtomicInsertIsThatShardsBatchFrame) {
+  // An insert_atomic whose documents all land on one shard is that shard's
+  // batch frame — replayed whole or not at all — with no commit record; one
+  // spanning shards is one commit record.
+  TempDir dir("gptc_cross_single_shard");
+  {
+    auto store = DocumentStore::open_durable(dir.path(), sharded_options(4));
+    auto* eng = store.storage_engine();
+    std::map<std::string, std::vector<Json>> docs;
+    docs["runs"].push_back(doc(R"({"k":1})"));  // id 1: shard 1 of 4
+    auto result = store.insert_atomic(std::move(docs));
+    EXPECT_EQ(result.ticket.wal,
+              engine::StorageEngine::shard_stem("runs", 1, 4));
+    EXPECT_EQ(eng->wal_bytes(eng->commit_wal_stem()), 0u);
+    eng->wait_durable(result.ticket);
+
+    docs.clear();
+    docs["runs"].push_back(doc(R"({"k":2})"));
+    docs["runs"].push_back(doc(R"({"k":3})"));
+    result = store.insert_atomic(std::move(docs));
+    EXPECT_EQ(result.ticket.wal, eng->commit_wal_stem());
+    EXPECT_GT(eng->wal_bytes(eng->commit_wal_stem()), 0u);
+    eng->wait_durable(result.ticket);
+  }
+  auto store = DocumentStore::open_durable(dir.path(), sharded_options(0));
+  EXPECT_EQ(store.collection("runs").size(), 3u);
+  EXPECT_TRUE(store.storage_engine()->recovery_warnings().empty());
 }
 
 TEST(CrossShardCommit, InterleavedSingleShardWritersSeeNoTornCommit) {

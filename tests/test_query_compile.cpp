@@ -5,14 +5,16 @@
 // matches() reference interpreter — the randomized sweep here drives both
 // over the same documents and queries, covering missing paths, cross-type
 // comparisons, numeric array segments, and $in duplicate keys. On top of
-// that: shard-count invariance (find() dumps are byte-identical at any
-// shard count, indexed or not), planner behaviour via Collection::explain
+// that: the index-walk invariants the planner relies on, shard-count
+// invariance (find() dumps are byte-identical at any shard count, indexed
+// or not), planner behaviour via Collection::explain
 // (narrowest index first, intersection, full-scan fallback), throw parity
 // between compile() and the interpreter, the compile-before-WAL-log
 // guarantee (a malformed mutation query must not poison the WAL), and the
 // per-problem parameter indexes SharedRepo declares and re-declares.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <random>
@@ -21,8 +23,10 @@
 
 #include "crowd/repo.hpp"
 #include "db/document_store.hpp"
+#include "db/engine/index.hpp"
 #include "db/query/planner.hpp"
 #include "db/query/program.hpp"
+#include "support/reference_matcher.hpp"
 
 namespace gptc::db {
 namespace {
@@ -226,6 +230,68 @@ TEST(CompiledQuery, ThrowParityWithInterpreter) {
     EXPECT_THROW(CompiledQuery::compile(q), json::JsonError) << text;
     EXPECT_THROW(matches(d, q), json::JsonError) << text;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Index walk invariants the planner relies on: estimate() is nullopt
+// exactly when candidates() is (the planner dereferences both unchecked),
+// otherwise it is the candidate count; candidates are a sorted, duplicate-
+// free superset of the matches, and exactly the matches when exact() says
+// so (count()/exists() then answer from the index alone).
+
+TEST(IndexInvariants, RandomizedEstimateCandidatesAndExactness) {
+  std::mt19937_64 rng(0x1DE7C0DEULL);
+  std::vector<Json> docs;
+  for (int i = 0; i < 80; ++i) docs.push_back(random_document(rng));
+  // Integers from 2^53 on share one double index key, though Json
+  // equality tells them apart.
+  docs.push_back(doc(R"({"a":9007199254740992})"));
+  docs.push_back(doc(R"({"a":9007199254740993})"));
+  docs.push_back(doc(R"({"a":9007199254740992.0})"));
+  const char* big_conditions[] = {
+      R"(9007199254740993)",
+      R"({"$eq":9007199254740992})",
+      R"({"$in":[9007199254740993,2]})",
+      R"({"$gt":9007199254740992})",
+      R"({"$lte":9007199254740993})",
+  };
+  std::size_t served = 0;
+  std::size_t exact = 0;
+  for (const char* path : {"a", "b", "k", "s", "arr.0", "nested.x",
+                           "missing"}) {
+    engine::OrderedIndex idx(path);
+    for (std::size_t i = 0; i < docs.size(); ++i)
+      idx.add(docs[i], static_cast<std::int64_t>(i));
+    std::vector<Json> conditions;
+    for (int i = 0; i < 300; ++i) conditions.push_back(random_condition(rng));
+    for (const char* c : big_conditions) conditions.push_back(doc(c));
+    for (const Json& cond : conditions) {
+      Json q = Json::object();
+      q[path] = cond;
+      const auto cands = idx.candidates(cond);
+      const auto est = idx.estimate(cond);
+      ASSERT_EQ(est.has_value(), cands.has_value()) << q.dump();
+      if (!cands) continue;
+      ++served;
+      ASSERT_EQ(*est, cands->size()) << q.dump();
+      ASSERT_TRUE(std::is_sorted(cands->begin(), cands->end())) << q.dump();
+      ASSERT_EQ(std::adjacent_find(cands->begin(), cands->end()),
+                cands->end())
+          << q.dump();
+      std::vector<std::int64_t> matched;
+      for (std::size_t i = 0; i < docs.size(); ++i)
+        if (matches(docs[i], q)) matched.push_back(static_cast<std::int64_t>(i));
+      ASSERT_TRUE(std::includes(cands->begin(), cands->end(), matched.begin(),
+                                matched.end()))
+          << q.dump();
+      if (engine::OrderedIndex::exact(cond)) {
+        ++exact;
+        ASSERT_EQ(*cands, matched) << q.dump();
+      }
+    }
+  }
+  EXPECT_GT(served, 0u);
+  EXPECT_GT(exact, 0u);
 }
 
 // ---------------------------------------------------------------------------

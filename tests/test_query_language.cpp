@@ -6,6 +6,7 @@
 
 #include "crowd/repo.hpp"
 #include "db/document_store.hpp"
+#include "support/reference_matcher.hpp"
 
 namespace gptc::crowd {
 namespace {
