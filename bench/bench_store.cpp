@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the storage engine
 // (src/db/engine/): indexed point/range queries vs. full collection scans
-// at 10^3..10^6 records, and WAL append latency with and without group
-// commit (fsync batching).
+// at 10^3..10^6 records, and durable-insert latency and throughput with
+// EngineOptions::async_commit off (the insert returns durable) and on (the
+// writer acks through wait_durable), for one writer and racing writers.
 //
 //   $ ./bench_store [--benchmark_filter=...] [--json]
 //
@@ -98,36 +99,41 @@ void BM_RangeIndexed(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeIndexed)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// WAL append latency. Arg is the group-commit batch size: 1 fsyncs every
-/// append; 64 amortizes one fsync over the batch.
+/// Durable insert latency, one writer. Arg is EngineOptions::async_commit:
+/// 0 = the insert itself returns once its frame is fsynced; 1 = it returns
+/// once logged and the caller acks through wait_durable. Both pay one
+/// fsync per insert here — with one writer there is nothing to share it.
 void BM_WalAppend(benchmark::State& state) {
   const auto dir =
       std::filesystem::temp_directory_path() /
       ("gptc_bench_wal_" + std::to_string(state.range(0)));
   std::filesystem::remove_all(dir);
   db::engine::EngineOptions opts;
-  opts.group_commit = static_cast<std::size_t>(state.range(0));
+  opts.async_commit = state.range(0) != 0;
   opts.checkpoint_wal_bytes = ~std::uint64_t{0};  // never checkpoint
   auto store = db::DocumentStore::open_durable(dir, opts);
   auto& c = store.collection("samples");
   std::int64_t i = 0;
-  for (auto _ : state) benchmark::DoNotOptimize(c.insert(make_record(i++)));
+  for (auto _ : state) {
+    const auto r = c.insert_batch({make_record(i++)});
+    store.storage_engine()->wait_durable(r.ticket);  // no-op when sync
+  }
   state.SetItemsProcessed(state.iterations());
   state.counters["wal_bytes"] = static_cast<double>(
-      store.storage_engine()->wal_bytes("samples"));
+      store.storage_engine()->wal_bytes("samples.s0of1"));
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_WalAppend)->Arg(1)->Arg(64)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WalAppend)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-/// Multi-writer append throughput vs. shard count. Arg0 is the shard
-/// count, arg1 the group-commit batch (1 = fsync inside every append, the
-/// durability-bound regime; 64 = fsyncs amortized, the lock-bound regime);
-/// ->Threads(T) supplies the writer count. One shard serializes every
-/// writer on a single shard mutex + WAL; N shards spread the writers over
-/// N independent WAL/mutex pairs (inserts land on shard _id % N, so
-/// concurrent writers hit different shards almost every append) — at
-/// group_commit=1 that also means N fsyncs overlapping in the kernel
-/// instead of queueing behind one lock.
+/// Multi-writer durable-insert throughput vs. shard count. Arg0 is the
+/// shard count, arg1 EngineOptions::async_commit (0 = the insert returns
+/// durable; 1 = it returns logged and the writer acks through
+/// wait_durable, the server's upload path); ->Threads(T) supplies the
+/// writer count. Either way writers racing on one WAL share its fsyncs
+/// (WalWriter::sync_to). One shard puts every writer on a single shard
+/// mutex + WAL; N shards spread them over N independent WAL/mutex pairs
+/// (inserts land on shard _id % N), so up to N fsyncs overlap in the
+/// kernel.
 void BM_ShardedAppend(benchmark::State& state) {
   static db::DocumentStore* store = nullptr;
   static std::filesystem::path dir;
@@ -137,7 +143,7 @@ void BM_ShardedAppend(benchmark::State& state) {
            std::to_string(state.range(1)));
     std::filesystem::remove_all(dir);
     db::engine::EngineOptions opts;
-    opts.group_commit = static_cast<std::size_t>(state.range(1));
+    opts.async_commit = state.range(1) != 0;
     opts.shards = static_cast<std::size_t>(state.range(0));
     opts.checkpoint_wal_bytes = ~std::uint64_t{0};  // never checkpoint
     store = new db::DocumentStore(db::DocumentStore::open_durable(dir, opts));
@@ -147,9 +153,11 @@ void BM_ShardedAppend(benchmark::State& state) {
   // entry, so the collection lookup has to happen inside the loop (it is a
   // read-only map find once thread 0 created the entry above).
   std::int64_t i = state.thread_index() * 1000003;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        store->collection("samples").insert(make_record(i++)));
+  for (auto _ : state) {
+    const auto r =
+        store->collection("samples").insert_batch({make_record(i++)});
+    store->storage_engine()->wait_durable(r.ticket);  // no-op when sync
+  }
   state.SetItemsProcessed(state.iterations());
   if (state.thread_index() == 0) {
     delete store;
@@ -158,7 +166,7 @@ void BM_ShardedAppend(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShardedAppend)
-    ->ArgsProduct({{1, 2, 4, 8}, {1, 64}})
+    ->ArgsProduct({{1, 2, 4, 8}, {0, 1}})
     ->Threads(1)
     ->Threads(8)
     ->Threads(16)
@@ -177,6 +185,7 @@ void BM_ParallelRecovery(benchmark::State& state) {
   constexpr std::int64_t kDocs = 20000;
   {
     db::engine::EngineOptions opts;
+    opts.async_commit = true;  // setup only: durable once the store closes
     opts.shards = static_cast<std::size_t>(state.range(0));
     opts.checkpoint_wal_bytes = ~std::uint64_t{0};  // recover pure WAL tails
     auto store = db::DocumentStore::open_durable(dir, opts);

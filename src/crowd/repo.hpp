@@ -132,12 +132,10 @@ class SharedRepo {
 
   /// Receipt for an upload batch: the func_eval record ids plus the
   /// durability ticket (the engine WAL the commit frame lives in and its
-  /// sequence; seq 0 when the repository is not durable). commit_seq
-  /// mirrors ticket.seq for callers that only test for zero.
+  /// sequence; seq 0 when the repository is not durable).
   struct UploadReceipt {
     std::vector<std::int64_t> ids;
     db::engine::CommitTicket ticket;
-    std::uint64_t commit_seq = 0;
   };
 
   /// Uploads a batch of evaluations atomically: the records (and any
@@ -157,9 +155,10 @@ class SharedRepo {
                              const std::vector<EvalUpload>& evals);
 
   /// Blocks until every record of a receipt is durable (WAL fsync or
-  /// covering snapshot). No-op for non-durable repositories. With async
-  /// group commit this is where the server's upload ack waits; see
-  /// db::engine::GroupCommitter.
+  /// covering snapshot). No-op for non-durable repositories. With
+  /// EngineOptions::async_commit this is where the server's upload ack
+  /// waits, sharing one fsync with the uploads racing it on the same WAL
+  /// (db::engine::WalWriter::sync_to). Throws once that WAL's fsync failed.
   void wait_uploads_durable(const UploadReceipt& receipt);
 
   /// All records matching a meta description and visible to its API key's

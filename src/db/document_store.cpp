@@ -126,7 +126,6 @@ Collection::BatchInsert Collection::insert_batch(std::vector<Json> documents) {
   std::vector<Member> members;
   out.ids = stage_batch(std::move(documents), members);
   out.ticket = commit(engine_, std::move(members)).ticket;
-  out.commit_seq = out.ticket.seq;
   return out;
 }
 
@@ -198,8 +197,10 @@ Collection::Committed Collection::commit(engine::StorageEngine* engine,
       out.applied += m.collection->apply_op(m.shard, std::move(m.op));
   }
   if (engine) {
-    // Shard locks and the commit gate are released: checkpoints (snapshot
-    // I/O) run without extending the commit's critical section.
+    // Shard locks and the commit gate are released: the durability wait
+    // and checkpoints (snapshot I/O) run without extending the commit's
+    // critical section, so writers queued on these shards join the fsync.
+    if (!engine->options().async_commit) engine->wait_durable(out.ticket);
     for (const auto& m : members) engine->maybe_checkpoint(*m.collection, m.shard);
     if (cross_shard) engine->maybe_compact_commits();  // takes the gate
   }

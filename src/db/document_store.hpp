@@ -32,11 +32,14 @@
 //
 // A default-constructed store lives in memory only. open_durable() is the
 // one way a store is read from or written to a directory: the storage
-// engine in src/db/engine — per-shard write-ahead logs with
-// CRC32/SipHash-framed records and group commit, atomic snapshots +
-// compaction, parallel crash recovery that tolerates a torn final record
-// per log, and cross-collection atomic batches (insert_atomic). The
-// Collection/DocumentStore API is identical either way.
+// engine in src/db/engine — per-shard write-ahead logs with CRC32-framed
+// records whose concurrent writers share fsyncs (group commit), atomic
+// snapshots + compaction, parallel crash recovery that tolerates a torn
+// final record per log, and cross-collection atomic batches
+// (insert_atomic). A durable mutation returns once its record is on disk,
+// or — with EngineOptions::async_commit — once logged, leaving the ack to
+// StorageEngine::wait_durable. The Collection/DocumentStore API is
+// identical either way.
 //
 // Collections also support ordered secondary indexes on dot-paths
 // (create_index): $eq/$in/$gt/$gte/$lt/$lte predicates on an indexed path
@@ -100,13 +103,10 @@ class Collection {
 
   /// Result of an atomic batch insert: the assigned ids plus the
   /// durability ticket callers hand to StorageEngine::wait_durable for an
-  /// ack (ticket.seq 0 when the store is not durable). commit_seq mirrors
-  /// ticket.seq for callers that only care whether there is anything to
-  /// wait for.
+  /// ack (ticket.seq 0 when the store is not durable).
   struct BatchInsert {
     std::vector<std::int64_t> ids;
     engine::CommitTicket ticket;
-    std::uint64_t commit_seq = 0;
   };
 
   /// Inserts every document atomically: WAL-logged as ONE record (a shard
@@ -260,8 +260,9 @@ class Collection {
   /// applies them: a single member is its shard's own WAL frame, written
   /// without the commit gate; several are ONE commit-WAL record written
   /// under the gate held shared. Without an engine (in-memory store) it
-  /// only locks and applies. Checkpoints, and for a commit record the
-  /// commit-WAL compaction, run after the locks are released.
+  /// only locks and applies. After the locks are released it waits for the
+  /// record to be durable (unless EngineOptions::async_commit), then runs
+  /// checkpoints and, for a commit record, the commit-WAL compaction.
   static Committed commit(engine::StorageEngine* engine,
                           std::vector<Member> members);
   /// Applies one op payload to one shard: the commit routine's apply step
@@ -321,7 +322,7 @@ class DocumentStore {
   bool durable() const { return engine_ != nullptr; }
   engine::StorageEngine* storage_engine() { return engine_.get(); }
 
-  /// Durable mode: fsync pending group-commit batches / force snapshots
+  /// Durable mode: make every logged WAL frame durable / force snapshots
   /// and WAL truncation for every shard of every collection. No-ops when
   /// not durable.
   void sync();

@@ -1,6 +1,5 @@
 // CRC32 (IEEE 802.3 reflected polynomial) and hex helpers for the storage
-// engine's WAL frames and snapshot footers. The keyed alternative lives in
-// siphash.hpp; wal.hpp picks between the two per WalFormat.
+// engine's WAL frames and snapshot footers.
 #pragma once
 
 #include <cstdint>

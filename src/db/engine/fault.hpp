@@ -6,17 +6,19 @@
 // frame, modelling a torn record). Because the "crash" is an exception in a
 // live process, disk state is exactly what a real kill at that instant
 // would leave behind, and tests can then reopen the directory and assert
-// the recovery invariants (tests/test_engine.cpp).
+// the recovery invariants (tests/test_engine.cpp). WalSyncError is not a
+// crash: the fdatasync reports EIO, and the process carries on with a
+// poisoned WAL.
 //
 // The injector counts occurrences even when unarmed, so a test can run the
 // workload once with a passive injector to enumerate every fault point,
 // then replay it once per point with the trigger armed.
 //
-// Thread-safe: the async group-commit thread (commit.hpp) fires
-// CommitFsync from its own thread while writer threads fire the WAL/
-// snapshot points, so all state is guarded by an internal mutex. Crash
-// tests still drive a single-writer workload for determinism; the mutex
-// only makes the counting itself race-free.
+// Thread-safe: whichever writer thread leads a WAL fsync fires CommitFsync/
+// WalSyncError while other writers fire the WAL/snapshot points, so all
+// state is guarded by an internal mutex. Crash tests still drive a single-
+// writer workload for determinism; the mutex only makes the counting itself
+// race-free.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +33,13 @@ enum class FaultPoint {
   WalShortWrite,         // write half of the Nth WAL frame, then crash
   SnapshotBeforeRename,  // crash after <name>.snapshot.tmp is synced
   SnapshotAfterRename,   // crash after the rename, before WAL truncation
-  CommitFsync,           // crash in the group-commit thread before its Nth
-                         // batch fsync: appended-but-unsynced frames are
-                         // lost to a power failure and must never be acked
+  CommitFsync,           // crash before the Nth WAL fdatasync
+                         // (WalWriter::sync_to): appended-but-unsynced
+                         // frames are lost to a power failure and must
+                         // never be acked
+  WalSyncError,          // the Nth WAL fdatasync returns EIO and the
+                         // process continues: the WAL is poisoned, and
+                         // nothing on it may be acked afterwards
   CommitReserve,         // crash inside a cross-shard logical commit, after
                          // some member shards reserved their sequence slot
                          // but before the commit record was appended — the

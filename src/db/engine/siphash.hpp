@@ -1,9 +1,6 @@
 // SipHash-2-4 (Aumasson & Bernstein) — the keyed 64-bit PRF used for
-// (a) salted API-key hashing in the crowd repository (replacing the fast
-// non-cryptographic FNV stand-in called out in DESIGN.md) and (b) the keyed
-// variant of the WAL record checksum, where a deployment wants frames
-// authenticated against accidental cross-store replay rather than just
-// bit-rot (see wal.hpp).
+// salted API-key hashing in the crowd repository (replacing the fast
+// non-cryptographic FNV stand-in called out in DESIGN.md).
 #pragma once
 
 #include <cstdint>

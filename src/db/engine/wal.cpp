@@ -17,28 +17,24 @@ namespace gptc::db::engine {
 
 namespace {
 
-std::string frame_checksum(const WalFormat& fmt, std::string_view body) {
-  if (fmt.checksum_key) return hex64(siphash24(*fmt.checksum_key, body));
-  return hex32(crc32(body));
-}
+constexpr std::size_t kSeqWidth = 16;  // hex digits of the sequence number
+constexpr std::size_t kCrcWidth = 8;   // hex digits of the CRC32
 
 /// Validates one complete line as a frame; nullopt on any mismatch.
-std::optional<WalRecord> parse_frame(const WalFormat& fmt,
-                                     std::string_view line) {
-  const std::size_t checksum_width = fmt.checksum_key ? 16 : 8;
-  // "<seq:16> <checksum> <payload>" — minimum length check first.
-  if (line.size() < 16 + 1 + checksum_width + 1 + 1 || line[16] != ' ' ||
-      line[16 + 1 + checksum_width] != ' ')
+std::optional<WalRecord> parse_frame(std::string_view line) {
+  // "<seq:16> <crc:8> <payload>" — minimum length check first.
+  if (line.size() < kSeqWidth + 1 + kCrcWidth + 1 + 1 ||
+      line[kSeqWidth] != ' ' || line[kSeqWidth + 1 + kCrcWidth] != ' ')
     return std::nullopt;
-  const std::string_view seq_hex = line.substr(0, 16);
-  const std::string_view checksum = line.substr(17, checksum_width);
-  const std::string_view payload = line.substr(16 + 1 + checksum_width + 1);
+  const std::string_view seq_hex = line.substr(0, kSeqWidth);
+  const std::string_view checksum = line.substr(kSeqWidth + 1, kCrcWidth);
+  const std::string_view payload = line.substr(kSeqWidth + 1 + kCrcWidth + 1);
   const auto seq = parse_hex64(seq_hex);
   if (!seq) return std::nullopt;
   std::string body;
   body.reserve(seq_hex.size() + 1 + payload.size());
   body.append(seq_hex).append(" ").append(payload);
-  if (frame_checksum(fmt, body) != checksum) return std::nullopt;
+  if (hex32(crc32(body)) != checksum) return std::nullopt;
   WalRecord rec;
   rec.seq = *seq;
   try {
@@ -70,7 +66,7 @@ void write_all(int fd, const char* data, std::size_t len,
 
 }  // namespace
 
-WalReplay replay_wal(const std::filesystem::path& path, const WalFormat& fmt) {
+WalReplay replay_wal(const std::filesystem::path& path) {
   WalReplay out;
   std::ifstream in(path, std::ios::binary);
   if (!in) return out;  // no log yet
@@ -82,8 +78,8 @@ WalReplay replay_wal(const std::filesystem::path& path, const WalFormat& fmt) {
   while (pos < text.size()) {
     const std::size_t nl = text.find('\n', pos);
     if (nl != std::string::npos) {
-      if (auto rec =
-              parse_frame(fmt, std::string_view(text.data() + pos, nl - pos))) {
+      const std::string_view line(text.data() + pos, nl - pos);
+      if (auto rec = parse_frame(line)) {
         out.records.push_back(std::move(*rec));
         pos = nl + 1;
         out.valid_bytes = pos;
@@ -95,11 +91,10 @@ WalReplay replay_wal(const std::filesystem::path& path, const WalFormat& fmt) {
     //  - an incomplete final line (the frame's own trailing '\n' never hit
     //    the disk), or
     //  - a complete final line failing after earlier frames validated under
-    //    this format (so the format/key is provably right and the last
-    //    sector was mangled by the crash).
+    //    this log (so the last sector was mangled by the crash).
     // Everything else — more data after the bad frame, or a complete first
-    // line that fails — is mid-log corruption or a wrong checksum key: the
-    // log must be refused, never truncated.
+    // line that fails — is mid-log corruption: the log must be refused,
+    // never truncated.
     if (nl == std::string::npos) {
       out.torn_tail = true;
     } else if (nl + 1 >= text.size() && !out.records.empty()) {
@@ -108,23 +103,20 @@ WalReplay replay_wal(const std::filesystem::path& path, const WalFormat& fmt) {
       out.error = "invalid frame at byte offset " + std::to_string(pos) +
                   (nl + 1 >= text.size()
                        ? " (first frame of a non-empty log failed "
-                         "validation: corrupt log or wrong checksum key)"
-                       : " with further data after it (mid-log corruption "
-                         "or wrong checksum key)");
+                         "validation: corrupt log)"
+                       : " with further data after it (mid-log corruption)");
     }
     break;
   }
   return out;
 }
 
-WalWriter::WalWriter(std::filesystem::path path, WalFormat fmt,
-                     std::size_t group_commit, std::uint64_t next_seq,
+WalWriter::WalWriter(std::filesystem::path path, std::uint64_t next_seq,
                      std::uint64_t existing_bytes, FaultInjector* fault)
     : path_(std::move(path)),
-      fmt_(fmt),
-      group_commit_(group_commit == 0 ? 1 : group_commit),
       next_seq_(next_seq),
       bytes_(existing_bytes),
+      durable_seq_(next_seq - 1),
       synced_bytes_(existing_bytes),
       fault_(fault) {
   const bool existed = std::filesystem::exists(path_);
@@ -151,18 +143,26 @@ WalWriter::~WalWriter() {
   }
 }
 
+void WalWriter::throw_if_poisoned() const {
+  if (poisoned_.empty()) return;
+  if (crashed_) throw CrashInjected(poisoned_);
+  throw std::runtime_error(poisoned_);
+}
+
+void WalWriter::poison(std::string reason, bool crash) {
+  poisoned_ = std::move(reason) + "; " + path_.string() +
+              " refuses every call until it is reopened";
+  crashed_ = crash;
+}
+
 std::uint64_t WalWriter::append(const json::Json& payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (broken_)
-    throw std::runtime_error("wal: " + path_.string() +
-                             " refuses appends: a failed append could not be "
-                             "rolled back");
+  throw_if_poisoned();
   const std::uint64_t seq = next_seq_;
   const std::string seq_hex = hex64(seq);
   const std::string text = payload.dump();  // serialized once per record
-  const std::string frame = seq_hex + " " +
-                            frame_checksum(fmt_, seq_hex + " " + text) + " " +
-                            text + "\n";
+  const std::string frame =
+      seq_hex + " " + hex32(crc32(seq_hex + " " + text)) + " " + text + "\n";
 
   if (fault_ && fault_->fire(FaultPoint::WalAppend))
     throw CrashInjected("injected crash before WAL append (seq " + seq_hex +
@@ -185,66 +185,98 @@ std::uint64_t WalWriter::append(const json::Json& payload) {
     // boundary; if even that fails, no later frame may follow.
     if (::ftruncate(fd_, static_cast<off_t>(bytes_)) != 0 ||
         ::lseek(fd_, static_cast<off_t>(bytes_), SEEK_SET) < 0)
-      broken_ = true;
+      poison("wal: a failed append could not be rolled back", false);
     throw;
   }
   bytes_ += frame.size();
-  ++next_seq_;
-  if (++pending_ >= group_commit_) sync_locked();
-  return seq;
+  return next_seq_++;
 }
 
 std::uint64_t WalWriter::reserve() {
   std::lock_guard<std::mutex> lock(mu_);
+  throw_if_poisoned();
   return next_seq_++;
 }
 
-void WalWriter::sync() {
+void WalWriter::sync_to(std::uint64_t seq) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    throw_if_poisoned();
+    if (seq <= durable_seq_) return;
+  }
+  // One fsync leader at a time. Callers queued here while a leader synced
+  // usually find their frames covered on the re-check below.
+  std::lock_guard<std::mutex> leader(sync_mu_);
+  std::uint64_t upto_seq = 0;
+  std::uint64_t upto_bytes = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    throw_if_poisoned();
+    if (seq <= durable_seq_) return;
+    upto_seq = next_seq_ - 1;
+    upto_bytes = bytes_;
+    if (upto_bytes == synced_bytes_) {  // only reserved slots are newer
+      durable_seq_ = upto_seq;
+      return;
+    }
+  }
+  // Appends continue while this runs; frames they add past upto_bytes wait
+  // for the next leader.
+  fdatasync_or_poison();
   std::lock_guard<std::mutex> lock(mu_);
-  sync_locked();
+  durable_seq_ = upto_seq;
+  synced_bytes_ = upto_bytes;
 }
 
-void WalWriter::sync_locked() {
-  if (pending_ == 0) return;
+void WalWriter::sync() { sync_to(next_seq() - 1); }
+
+void WalWriter::fdatasync_or_poison() {
   // fdatasync, not fsync: an append needs only the data and the file size
   // durable, and fdatasync is required to flush the size when a write
-  // extends the file. Skipping the mtime-only metadata update keeps
-  // concurrent per-shard WAL syncs from queueing behind one another in the
-  // filesystem journal.
-  // blocking-ok: the group-commit durability point — this one syscall is sync_locked's whole purpose, and the mutex orders it after the frames it covers
-  if (::fdatasync(fd_) != 0)
-    throw std::runtime_error("wal: fdatasync failed for " + path_.string() +
-                             ": " + std::strerror(errno));
-  pending_ = 0;
-  synced_bytes_ = bytes_;
+  // extends or truncates the file. Skipping the mtime-only metadata update
+  // keeps concurrent per-shard WAL syncs from queueing behind one another
+  // in the filesystem journal.
+  std::string failure;
+  bool crash = false;
+  if (fault_ && fault_->fire(FaultPoint::CommitFsync)) {
+    failure = "injected crash before fdatasync";
+    crash = true;
+  } else if (fault_ && fault_->fire(FaultPoint::WalSyncError)) {
+    failure = std::string("wal: fdatasync failed: ") + std::strerror(EIO);
+  } else {
+    // blocking-ok: the log's one durability point — callers hold only sync_mu_, which exists to admit one fsync at a time, never mu_
+    if (::fdatasync(fd_) == 0) return;
+    failure = std::string("wal: fdatasync failed: ") + std::strerror(errno);
+  }
+  // The kernel may have dropped the dirty pages, so a later fsync that
+  // succeeds would vouch for data that is gone: refuse everything instead.
+  std::lock_guard<std::mutex> lock(mu_);
+  poison(std::move(failure), crash);
+  throw_if_poisoned();
 }
 
-void WalWriter::reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  reset_locked();
-}
-
-bool WalWriter::reset_if_covered(std::uint64_t last_seq) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (next_seq_ - 1 != last_seq) return false;
-  reset_locked();
+bool WalWriter::covered_by_snapshot(std::uint64_t last_seq) {
+  // Holding the leader lock keeps the truncation out of an in-flight fsync
+  // whose byte count it would invalidate.
+  std::lock_guard<std::mutex> leader(sync_mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    throw_if_poisoned();
+    if (last_seq > durable_seq_) durable_seq_ = last_seq;
+    if (next_seq_ - 1 != last_seq) return false;
+    if (::ftruncate(fd_, 0) != 0)
+      throw std::runtime_error("wal: cannot truncate " + path_.string() +
+                               ": " + std::strerror(errno));
+    if (::lseek(fd_, 0, SEEK_SET) < 0)
+      throw std::runtime_error("wal: cannot seek " + path_.string() + ": " +
+                               std::strerror(errno));
+    bytes_ = 0;
+    synced_bytes_ = 0;
+  }
+  // The truncation must be durable before the caller treats the covering
+  // snapshot as the only source of truth.
+  fdatasync_or_poison();
   return true;
-}
-
-void WalWriter::reset_locked() {
-  if (::ftruncate(fd_, 0) != 0)
-    throw std::runtime_error("wal: cannot truncate " + path_.string() + ": " +
-                             std::strerror(errno));
-  if (::lseek(fd_, 0, SEEK_SET) < 0)
-    throw std::runtime_error("wal: cannot seek " + path_.string() + ": " +
-                             std::strerror(errno));
-  // blocking-ok: the post-compaction truncation must be durable before the caller reports the covering snapshot as the only source of truth
-  if (::fsync(fd_) != 0)
-    throw std::runtime_error("wal: fsync failed for " + path_.string() +
-                             ": " + std::strerror(errno));
-  bytes_ = 0;
-  synced_bytes_ = 0;
-  pending_ = 0;
 }
 
 std::uint64_t WalWriter::next_seq() const {

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -171,16 +172,14 @@ TEST(SipHash, SaltDerivedKeysDiffer) {
 TEST(Wal, AppendReplayRoundTrip) {
   TempDir dir("gptc_engine_wal");
   const fs::path path = dir.path() / "t.wal";
-  const engine::WalFormat fmt;
   {
-    engine::WalWriter w(path, fmt, /*group_commit=*/2, /*next_seq=*/1,
-                        /*existing_bytes=*/0, nullptr);
+    engine::WalWriter w(path, /*next_seq=*/1, /*existing_bytes=*/0, nullptr);
     EXPECT_EQ(w.append(doc(R"({"o":"i","d":{"_id":1}})")), 1u);
     EXPECT_EQ(w.append(doc(R"({"o":"r","q":{}})")), 2u);
     EXPECT_EQ(w.append(doc(R"({"o":"i","d":{"_id":2}})")), 3u);
     w.sync();
   }
-  const auto replay = engine::replay_wal(path, fmt);
+  const auto replay = engine::replay_wal(path);
   EXPECT_FALSE(replay.torn_tail);
   ASSERT_EQ(replay.records.size(), 3u);
   EXPECT_EQ(replay.records[0].seq, 1u);
@@ -191,28 +190,27 @@ TEST(Wal, AppendReplayRoundTrip) {
 TEST(Wal, TornFinalRecordIsTolerated) {
   TempDir dir("gptc_engine_wal_torn");
   const fs::path path = dir.path() / "t.wal";
-  const engine::WalFormat fmt;
   std::uint64_t full_size = 0;
   {
-    engine::WalWriter w(path, fmt, 1, 1, 0, nullptr);
+    engine::WalWriter w(path, 1, 0, nullptr);
     w.append(doc(R"({"o":"i","d":{"_id":1}})"));
     w.append(doc(R"({"o":"i","d":{"_id":2}})"));
     full_size = w.bytes();
   }
   // Tear the last record in half.
   fs::resize_file(path, full_size - 17);
-  const auto replay = engine::replay_wal(path, fmt);
+  const auto replay = engine::replay_wal(path);
   EXPECT_TRUE(replay.torn_tail);
   ASSERT_EQ(replay.records.size(), 1u);
   EXPECT_EQ(replay.records[0].payload.at("d").at("_id").as_int(), 1);
   // A writer reopened at the valid prefix truncates the tail and appends
   // cleanly on a frame boundary.
   {
-    engine::WalWriter w(path, fmt, 1, replay.records.back().seq + 1,
+    engine::WalWriter w(path, replay.records.back().seq + 1,
                         replay.valid_bytes, nullptr);
     w.append(doc(R"({"o":"i","d":{"_id":3}})"));
   }
-  const auto again = engine::replay_wal(path, fmt);
+  const auto again = engine::replay_wal(path);
   EXPECT_FALSE(again.torn_tail);
   ASSERT_EQ(again.records.size(), 2u);
   EXPECT_EQ(again.records[1].payload.at("d").at("_id").as_int(), 3);
@@ -221,9 +219,8 @@ TEST(Wal, TornFinalRecordIsTolerated) {
 TEST(Wal, CorruptedFinalRecordIsATornTail) {
   TempDir dir("gptc_engine_wal_crc");
   const fs::path path = dir.path() / "t.wal";
-  const engine::WalFormat fmt;
   {
-    engine::WalWriter w(path, fmt, 1, 1, 0, nullptr);
+    engine::WalWriter w(path, 1, 0, nullptr);
     w.append(doc(R"({"o":"i","d":{"_id":1}})"));
     w.append(doc(R"({"o":"i","d":{"_id":2}})"));
   }
@@ -235,7 +232,7 @@ TEST(Wal, CorruptedFinalRecordIsATornTail) {
   std::string text = buf.str();
   text[text.size() - 3] = text[text.size() - 3] == 'x' ? 'y' : 'x';
   std::ofstream(path, std::ios::binary) << text;
-  const auto replay = engine::replay_wal(path, fmt);
+  const auto replay = engine::replay_wal(path);
   EXPECT_TRUE(replay.torn_tail);
   EXPECT_FALSE(replay.error.has_value());
   EXPECT_EQ(replay.records.size(), 1u);
@@ -244,10 +241,9 @@ TEST(Wal, CorruptedFinalRecordIsATornTail) {
 TEST(Wal, MidLogCorruptionIsRejectedNotTruncated) {
   TempDir dir("gptc_engine_wal_midlog");
   const fs::path path = dir.path() / "t.wal";
-  const engine::WalFormat fmt;
   std::uint64_t first_two = 0;
   {
-    engine::WalWriter w(path, fmt, 1, 1, 0, nullptr);
+    engine::WalWriter w(path, 1, 0, nullptr);
     w.append(doc(R"({"o":"i","d":{"_id":1}})"));
     w.append(doc(R"({"o":"i","d":{"_id":2}})"));
     first_two = w.bytes();
@@ -262,32 +258,10 @@ TEST(Wal, MidLogCorruptionIsRejectedNotTruncated) {
   const std::size_t target = first_two - 3;
   text[target] = text[target] == 'x' ? 'y' : 'x';
   std::ofstream(path, std::ios::binary) << text;
-  const auto replay = engine::replay_wal(path, fmt);
+  const auto replay = engine::replay_wal(path);
   ASSERT_TRUE(replay.error.has_value());
   EXPECT_FALSE(replay.torn_tail);
   EXPECT_EQ(replay.records.size(), 1u);  // valid prefix only
-}
-
-TEST(Wal, KeyedChecksumRejectsWrongKey) {
-  TempDir dir("gptc_engine_wal_keyed");
-  const fs::path path = dir.path() / "t.wal";
-  engine::WalFormat keyed;
-  keyed.checksum_key = engine::SipHashKey{1, 2};
-  {
-    engine::WalWriter w(path, keyed, 1, 1, 0, nullptr);
-    w.append(doc(R"({"o":"i","d":{"_id":1}})"));
-  }
-  EXPECT_EQ(engine::replay_wal(path, keyed).records.size(), 1u);
-  EXPECT_FALSE(engine::replay_wal(path, keyed).error.has_value());
-  // The wrong key fails every complete frame — that is a rejected log, not
-  // a torn tail, so nothing may be truncated away.
-  engine::WalFormat wrong;
-  wrong.checksum_key = engine::SipHashKey{1, 3};
-  const auto refused = engine::replay_wal(path, wrong);
-  EXPECT_EQ(refused.records.size(), 0u);
-  EXPECT_TRUE(refused.error.has_value());
-  // An unkeyed reader sees a 16-digit checksum where it expects 8: refused.
-  EXPECT_TRUE(engine::replay_wal(path, engine::WalFormat{}).error.has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -442,10 +416,8 @@ TEST(SecondaryIndex, DeclarationIsIdempotentAndListed) {
 // ---------------------------------------------------------------------------
 // Durable store basics
 
-EngineOptions test_options(FaultInjector* fault = nullptr,
-                           std::size_t group_commit = 4) {
+EngineOptions test_options(FaultInjector* fault = nullptr) {
   EngineOptions opts;
-  opts.group_commit = group_commit;
   opts.checkpoint_wal_bytes = 1u << 30;  // explicit checkpoints only
   opts.fault = fault;
   opts.shards = env_shards();  // 0 unless GPTC_SHARDS re-runs the suite
@@ -538,7 +510,7 @@ TEST(DurableStore, MidLogWalCorruptionRefusesToOpen) {
   TempDir dir("gptc_engine_walcorrupt");
   {
     auto store = DocumentStore::open_durable(
-        dir.path(), test_options(nullptr, /*group_commit=*/1));
+        dir.path(), test_options());
     // Enough documents that every shard's WAL holds at least two frames.
     for (std::size_t i = 1; i <= 2 * effective_shards(); ++i) {
       Json d = Json::object();
@@ -569,7 +541,7 @@ TEST(DurableStore, TornTailIsReportedAsRecoveryWarning) {
     FaultInjector fault;
     fault.arm(FaultPoint::WalShortWrite, 3);
     auto store = DocumentStore::open_durable(
-        dir.path(), test_options(&fault, /*group_commit=*/1));
+        dir.path(), test_options(&fault));
     try {
       for (int k = 1; k <= 3; ++k) {
         Json d = Json::object();
@@ -623,7 +595,7 @@ TEST(DurableStore, FailedWalAppendLosesNoLaterAckedWrite) {
   std::vector<std::int64_t> acked;
   {
     auto store = DocumentStore::open_durable(
-        dir.path(), test_options(nullptr, /*group_commit=*/1));
+        dir.path(), test_options());
     auto* eng = store.storage_engine();
     auto& c = store.collection("samples");
     const auto insert = [&](std::int64_t k) {
@@ -682,30 +654,6 @@ TEST(DurableStore, DocumentsAtTheParseDepthCapSurviveReopen) {
   auto store = DocumentStore::open_durable(dir.path(), test_options());
   ASSERT_EQ(store.collection("samples").size(), 3u);
   EXPECT_EQ(store.collection("samples").all()[2].at("deep"), deep);
-}
-
-TEST(DurableStore, KeyedWalChecksumRoundTrips) {
-  TempDir dir("gptc_engine_keyed");
-  EngineOptions opts = test_options();
-  opts.wal_checksum_key = engine::SipHashKey{0xdeadbeefULL, 0xfeedfaceULL};
-  {
-    auto store = DocumentStore::open_durable(dir.path(), opts);
-    store.collection("samples").insert(doc(R"({"k":1})"));
-  }
-  auto store = DocumentStore::open_durable(dir.path(), opts);
-  EXPECT_EQ(store.collection("samples").size(), 1u);
-  // The wrong key refuses the log outright: opening throws rather than
-  // truncating the (valid, just differently-keyed) records away.
-  EngineOptions wrong = test_options();
-  wrong.wal_checksum_key = engine::SipHashKey{1, 1};
-  TempDir dir2("gptc_engine_keyed2");
-  fs::copy(dir.path(), dir2.path(), fs::copy_options::overwrite_existing |
-                                        fs::copy_options::recursive);
-  EXPECT_THROW(DocumentStore::open_durable(dir2.path(), wrong),
-               std::runtime_error);
-  // The refused log is untouched on disk: the right key still opens it.
-  auto again = DocumentStore::open_durable(dir2.path(), opts);
-  EXPECT_EQ(again.collection("samples").size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -864,7 +812,7 @@ TEST(CrashRecovery, RepeatedCrashesStackSafely) {
 TEST(Concurrency, ManyReadersOneWriterOnDurableCollection) {
   TempDir dir("gptc_engine_threads");
   auto store =
-      DocumentStore::open_durable(dir.path(), test_options(nullptr, 8));
+      DocumentStore::open_durable(dir.path(), test_options());
   auto& c = store.collection("samples");
   c.create_index("k");
 
@@ -914,9 +862,9 @@ TEST(Concurrency, ManyReadersOneWriterOnDurableCollection) {
 // Process-crash faults (exceptions) leave the page cache intact, so to
 // model a POWER LOSS at the crash point these tests capture the shard's
 // wal_synced_bytes() — the offset of the last completed fsync — and
-// truncate the WAL file to it after closing the store. Whatever the
-// commit thread had not fsynced is gone, exactly as on a real machine
-// losing power; whatever was acked (wait_durable returned) must survive.
+// truncate the WAL file to it after closing the store. Whatever no fsync
+// had covered is gone, exactly as on a real machine losing power; whatever
+// was acked (wait_durable returned) must survive.
 
 EngineOptions async_options(FaultInjector* fault = nullptr) {
   EngineOptions opts = test_options(fault);
@@ -963,8 +911,8 @@ TEST(GroupCommit, CrashBetweenEnqueueAndFsyncNeverAcks) {
     auto batch = c.insert_batch(
         {doc(R"({"k":1})"), doc(R"({"k":2})"), doc(R"({"k":3})")});
     ASSERT_GT(batch.ticket.seq, 0u);
-    // The batch is enqueued (logged) but the commit thread crashes before
-    // its fsync: the ack path must throw, and keep throwing.
+    // The batch is logged, but the process crashes before the ack's fsync:
+    // the ack path must throw, and keep throwing.
     EXPECT_THROW(store.storage_engine()->wait_durable(batch.ticket),
                  CrashInjected);
     EXPECT_THROW(store.storage_engine()->wait_durable(batch.ticket),
@@ -983,9 +931,9 @@ class CrashAtEveryGroupCommitFsync
     : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Single-record writer that acks each record before the next: the fault
-// at the Nth batch fsync crashes the committer while record N is in
-// flight, so exactly the acked prefix — records 1..N-1 — survives a
-// power loss at that instant.
+// at the Nth WAL fsync crashes the process while record N is in flight,
+// so exactly the acked prefix — records 1..N-1 — survives a power loss at
+// that instant.
 TEST_P(CrashAtEveryGroupCommitFsync, RecoveryYieldsExactlyTheAckedPrefix) {
   const std::uint64_t nth = GetParam();
   TempDir dir("gptc_gc_prefix");
@@ -1022,8 +970,8 @@ TEST_P(CrashAtEveryGroupCommitFsync, RecoveryYieldsExactlyTheAckedPrefix) {
 }
 
 // Batched writer: each insert_batch is one WAL record (a shard frame, or
-// the logical commit record when the batch spans shards) and one commit-
-// thread fsync, so a crash at the Nth fsync acks exactly N-1 batches —
+// the logical commit record when the batch spans shards) and one ack
+// fsync, so a crash at the Nth fsync acks exactly N-1 batches —
 // and because a batch is a single frame, recovery can never yield a
 // partial batch even when the power loss lands mid-stream.
 TEST_P(CrashAtEveryGroupCommitFsync, BatchesRecoverWholeOrNotAtAll) {
@@ -1088,6 +1036,113 @@ TEST(GroupCommit, CheckpointMakesLoggedRecordsDurableWithoutFsyncWait) {
   for (const auto& [stem, seq] : logged)
     store.storage_engine()->wait_durable(stem, seq);  // must not block
   EXPECT_EQ(store.collection("samples").size(), 8u);
+}
+
+// ---------------------------------------------------------------------------
+// fsync errors: a failed fdatasync poisons its WAL
+//
+// WalSyncError makes the Nth WAL fdatasync return EIO while the process
+// carries on. The kernel may already have dropped the pages it could not
+// write, so no later fsync may vouch for them: every later append and sync
+// on that WAL throws. Reopened afterwards — with the page cache kept, or
+// after a power loss that takes whatever no fsync covered — the store holds
+// every acked write, and any other record came from an insert that threw.
+
+/// The "k" field of every document in `dir`'s samples collection.
+std::set<std::int64_t> recovered_keys(const fs::path& dir) {
+  auto store = DocumentStore::open_durable(dir, test_options());
+  std::set<std::int64_t> keys;
+  for (const Json& d : store.collection("samples").all())
+    keys.insert(d.at("k").as_int());
+  return keys;
+}
+
+class FsyncErrorAtNth : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FsyncErrorAtNth, PoisonsTheWalAndNothingIsAckedAfterIt) {
+  const std::uint64_t nth = GetParam();
+  TempDir dir("gptc_engine_fsync_eio");
+  TempDir copy("gptc_engine_fsync_eio_copy");
+  FaultInjector fault;
+  fault.arm(FaultPoint::WalSyncError, nth);
+  std::set<std::int64_t> acked;
+  std::set<std::int64_t> failed;
+  std::set<std::int64_t> live;
+  std::map<std::string, std::uint64_t> synced;
+  {
+    auto store = DocumentStore::open_durable(dir.path(), test_options(&fault));
+    auto* eng = store.storage_engine();
+    auto& c = store.collection("samples");
+    for (std::int64_t k = 1; k <= 16; ++k) {
+      Json d = Json::object();
+      d["k"] = k;
+      try {
+        c.insert(std::move(d));  // async_commit off: returns once durable
+        acked.insert(k);
+      } catch (const std::runtime_error&) {
+        failed.insert(k);
+      }
+    }
+    // One fsync per insert: the Nth insert met the error.
+    ASSERT_FALSE(failed.empty()) << "WalSyncError " << nth << " never fired";
+    const std::int64_t first_failed = *failed.begin();
+    EXPECT_EQ(first_failed, static_cast<std::int64_t>(nth));
+    // Document k has id k and lives on shard k % N. Every later insert on
+    // the poisoned shard failed; inserts on the other shards' WALs did not.
+    const std::size_t n = eng->shard_count();
+    const auto bad = static_cast<std::size_t>(first_failed) % n;
+    for (const std::int64_t k : failed)
+      EXPECT_EQ(static_cast<std::size_t>(k) % n, bad) << "k=" << k;
+    for (const std::int64_t k : acked)
+      EXPECT_TRUE(k < first_failed || static_cast<std::size_t>(k) % n != bad)
+          << "k=" << k << " acked on the WAL after its failed fsync";
+    const std::string stem =
+        engine::StorageEngine::shard_stem("samples", bad, n);
+    EXPECT_THROW(eng->wait_durable(stem, 1), std::runtime_error);
+    EXPECT_THROW(store.sync(), std::runtime_error);
+    for (const Json& d : c.all()) live.insert(d.at("k").as_int());
+    synced = synced_offsets(store, "samples");
+  }
+  fs::copy(dir.path(), copy.path(), fs::copy_options::overwrite_existing |
+                                        fs::copy_options::recursive);
+
+  // Process restart, page cache intact: recovery rebuilds exactly the state
+  // the live store had, the failed insert's logged frame included.
+  const std::set<std::int64_t> restarted = recovered_keys(copy.path());
+  EXPECT_EQ(restarted, live);
+
+  // Power loss: only fsync-covered frames survive.
+  power_loss(dir.path(), synced);
+  const std::set<std::int64_t> after_loss = recovered_keys(dir.path());
+  for (const std::int64_t k : acked)
+    EXPECT_EQ(after_loss.count(k), 1u) << "acked k=" << k << " lost";
+  for (const std::int64_t k : after_loss)
+    EXPECT_TRUE(acked.count(k) == 1 || failed.count(k) == 1)
+        << "k=" << k << " recovered but never written";
+}
+
+INSTANTIATE_TEST_SUITE_P(NthFsync, FsyncErrorAtNth,
+                         ::testing::Range<std::uint64_t>(1, 5));
+
+TEST(FsyncError, AsyncAckThrowsAndLaterAppendsAreRefused) {
+  // The server's path: a mutation returns once logged, and the ack waits on
+  // its ticket. After the failed fsync neither the ack nor a later write
+  // to that WAL can succeed.
+  TempDir dir("gptc_engine_fsync_eio_async");
+  FaultInjector fault;
+  fault.arm(FaultPoint::WalSyncError, 1);
+  auto store = DocumentStore::open_durable(dir.path(), async_options(&fault));
+  auto* eng = store.storage_engine();
+  auto& c = store.collection("samples");
+  const auto batch = c.insert_batch({doc(R"({"k":1})")});
+  EXPECT_THROW(eng->wait_durable(batch.ticket), std::runtime_error);
+  EXPECT_THROW(eng->wait_durable(batch.ticket), std::runtime_error);
+  // Ids 2..N land on the other shards' healthy WALs; id N + 1 lands on
+  // the poisoned one again.
+  for (std::size_t i = 2; i <= eng->shard_count(); ++i)
+    EXPECT_NO_THROW(c.insert_batch({doc(R"({"k":0})")}));
+  EXPECT_THROW(c.insert_batch({doc(R"({"k":2})")}), std::runtime_error);
+  EXPECT_THROW(store.sync(), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -1412,7 +1467,6 @@ TEST(Sharding, CrossShardBatchSurvivesPowerLossWholeOrNot) {
 TEST(ShardConcurrency, ParallelWritersAcrossShardsKeepGlobalOrder) {
   TempDir dir("gptc_shard_threads");
   EngineOptions opts = sharded_options(4);
-  opts.group_commit = 8;
   std::string live;
   {
   auto store = DocumentStore::open_durable(dir.path(), opts);
@@ -1486,6 +1540,52 @@ TEST(ShardConcurrency, ParallelWritersAcrossShardsKeepGlobalOrder) {
   auto reopened = DocumentStore::open_durable(dir.path(), sharded_options(0));
   EXPECT_EQ(reopened.storage_engine()->shard_count(), 4u);
   EXPECT_EQ(reopened.collection("samples").to_json().dump(), live);
+}
+
+// Eight writers with async_commit off on ONE shard: every insert returns
+// only once an fsync covers its frame — its own, or one led by a writer it
+// raced (WalWriter::sync_to) — so at return the frame lies within
+// wal_synced_bytes.
+TEST(ShardConcurrency, SyncWritersOnOneShardReturnDurable) {
+  TempDir dir("gptc_shard_sync_writers");
+  const std::string stem = engine::StorageEngine::shard_stem("samples", 0, 1);
+  constexpr int kWriters = 8;
+  constexpr int kOpsPerWriter = 25;
+  // Per writer: (document id, synced WAL bytes when its insert returned).
+  std::vector<std::vector<std::pair<std::int64_t, std::uint64_t>>> returned(
+      kWriters);
+  {
+    auto store = DocumentStore::open_durable(dir.path(), sharded_options(1));
+    auto* eng = store.storage_engine();
+    auto& c = store.collection("samples");
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&c, eng, &stem, &out = returned[w], w] {
+        for (int i = 0; i < kOpsPerWriter; ++i) {
+          Json d = Json::object();
+          d["w"] = static_cast<std::int64_t>(w);
+          const std::int64_t id = c.insert(std::move(d));
+          out.emplace_back(id, eng->wal_synced_bytes(stem));
+        }
+      });
+    }
+    for (auto& t : writers) t.join();
+  }
+  // End offset of each document's frame, read back from the log.
+  std::ifstream in(dir.path() / (stem + ".wal"), std::ios::binary);
+  std::map<std::int64_t, std::uint64_t> frame_end;
+  std::uint64_t offset = 0;
+  for (std::string line; std::getline(in, line);) {
+    offset += line.size() + 1;
+    const Json payload = Json::parse(line.substr(16 + 1 + 8 + 1));
+    frame_end[payload.at("d").at("_id").as_int()] = offset;
+  }
+  ASSERT_EQ(frame_end.size(),
+            static_cast<std::size_t>(kWriters * kOpsPerWriter));
+  for (const auto& per_writer : returned)
+    for (const auto& [id, synced] : per_writer)
+      EXPECT_LE(frame_end.at(id), synced) << "insert " << id
+                                          << " returned before its fsync";
 }
 
 }  // namespace
